@@ -45,6 +45,16 @@ import (
 	"github.com/interdc/postcard/internal/server"
 )
 
+// Connection bounds of the listener: a client that stalls sending its
+// headers or body, or parks an idle keep-alive connection, is cut off
+// rather than holding a goroutine and a socket forever. Every request body
+// of this API fits one packet, so the limits are generous.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 15 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "postcard-server:", err)
@@ -130,7 +140,12 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	log.Printf("listening on %s", ln.Addr())

@@ -71,7 +71,10 @@ type Decision struct {
 // admitted batch with the incremental LP solver and atomically swaps the
 // reservations to the improved plan; TakePlan hands the batch's final
 // schedule to the caller for commitment. A Controller is not safe for
-// concurrent use.
+// concurrent use: callers serialize every method behind one lock. The one
+// thing that may run outside that lock is RepublishJob.Solve, under the
+// conditions stated there — which is how a daemon keeps answering Admit
+// while the LP runs.
 type Controller struct {
 	cfg    Config
 	res    *netmodel.Reservations
@@ -82,8 +85,16 @@ type Controller struct {
 	files     []netmodel.File
 	plan      *schedule.Schedule
 	batchCost float64 // provisional cost/slot delta of the open batch
+	// gen is the batch generation: it moves whenever the open batch's file
+	// set, or anything else its LP reads, changes, which is what makes an
+	// outstanding RepublishJob stale. settled: see Settled.
+	gen     uint64
+	settled bool
 
 	stats Stats
+	// solverStats is the solver's counter set as of the last finished job;
+	// the live solver may be mid-solve outside the caller's lock.
+	solverStats core.SolveStats
 }
 
 // NewController creates an admission controller over the ledger.
@@ -107,18 +118,17 @@ func (c *Controller) Reservations() *netmodel.Reservations { return c.res }
 func (c *Controller) Stats() Stats { return c.stats }
 
 // SolverStats returns the background re-optimizer's cumulative LP counters
-// (the zero value when no republish has run yet).
-func (c *Controller) SolverStats() core.SolveStats {
-	if c.solver == nil {
-		return core.SolveStats{}
-	}
-	return c.solver.Stats()
-}
+// as of the last finished republish (the zero value when none has run yet).
+func (c *Controller) SolverStats() core.SolveStats { return c.solverStats }
 
 // Pending reports the files admitted into the currently open batch.
 func (c *Controller) Pending() []netmodel.File {
 	return append([]netmodel.File(nil), c.files...)
 }
+
+// PendingCount reports how many files the open batch holds, without the
+// copy Pending makes.
+func (c *Controller) PendingCount() int { return len(c.files) }
 
 // BatchPlan returns the open batch's current merged schedule — the
 // provisional single-path plans, or the LP plan after a successful
@@ -167,17 +177,78 @@ func (c *Controller) Admit(f netmodel.File, now int) (Decision, error) {
 	}
 	mergeSchedule(c.plan, plan.Schedule)
 	c.batchCost += plan.ChargeDelta
+	c.Invalidate()
 	c.stats.Admits++
 	return Decision{Admitted: true, Plan: plan, Expansions: expansions, Exhaustive: true}, nil
 }
 
-// Republish re-solves the open batch with the incremental LP solver and,
-// when the LP improves on the provisional plans, atomically swaps the
-// batch's reservations and schedule to the LP's. The solver prices against
-// the ledger — which never contains reservations — so the whole batch is
-// re-planned from the committed state. The batch's provisional plans prove
-// the LP feasible, so a non-optimal status is defensive: the fast plan is
-// kept and no error is returned.
+// RepublishJob is one re-optimization of the open batch, begun by
+// BeginRepublish: an immutable copy of the batch's slot, files and
+// generation, plus — after Solve — the LP's answer. The split exists so a
+// concurrent caller can keep admitting while the LP runs: BeginRepublish and
+// FinishRepublish touch controller state and need the caller's lock, Solve
+// touches none of it. A job may be solved without the controller's lock only
+// while the ledger and the network's prices are not written, and while no
+// other job of the same controller is being solved (jobs share the
+// controller's warm core.Solver); Admit, BatchPlan, Stats and the other
+// readers may run meanwhile.
+type RepublishJob struct {
+	c      *Controller
+	solver *core.Solver
+	ledger *netmodel.Ledger
+	slot   int
+	files  []netmodel.File
+	gen    uint64
+
+	solved bool
+	res    *core.Result
+	err    error
+	stats  core.SolveStats
+}
+
+// BeginRepublish captures the open batch of slot now as a job for Solve and
+// FinishRepublish. It fails when no batch is open or the batch belongs to
+// another slot.
+func (c *Controller) BeginRepublish(now int) (*RepublishJob, error) {
+	if len(c.files) == 0 {
+		return nil, fmt.Errorf("admission: republish at slot %d with no open batch", now)
+	}
+	if now != c.slot {
+		return nil, fmt.Errorf("admission: republish at slot %d for batch of slot %d", now, c.slot)
+	}
+	if c.solver == nil {
+		c.solver = core.NewSolver(c.cfg.Solver)
+	}
+	return &RepublishJob{
+		c:      c,
+		solver: c.solver,
+		ledger: c.res.Ledger(),
+		slot:   now,
+		files:  append([]netmodel.File(nil), c.files...),
+		gen:    c.gen,
+	}, nil
+}
+
+// Solve runs the job's LP through the controller's warm solver. It prices
+// against the ledger — which never contains reservations — so the whole
+// batch is re-planned from the committed state. See RepublishJob for when it
+// may run without the controller's lock.
+func (j *RepublishJob) Solve() {
+	j.res, j.err = j.solver.Solve(j.ledger, j.files, j.slot)
+	j.stats = j.solver.Stats()
+	j.solved = true
+}
+
+// FinishRepublish applies a solved job: when the LP improves on the
+// provisional plans, the batch's reservations and schedule are atomically
+// swapped to the LP's, and swapped reports true. The batch's provisional
+// plans prove the LP feasible, so a non-optimal status is defensive: the
+// fast plan is kept and no error is returned.
+//
+// A stale job never swaps: when the batch changed since BeginRepublish (an
+// admission, TakePlan, Rollback or Invalidate), or the job was begun by
+// another controller, its answer — a solve error included — is dropped.
+// Otherwise the batch is settled afterwards, unless the solve failed.
 //
 // The swap is failure-atomic: the reservation state is restored to the
 // pre-swap buckets whenever any step fails, so c.plan and the live
@@ -186,28 +257,34 @@ func (c *Controller) Admit(f netmodel.File, now int) (Decision, error) {
 // foreign reservation was placed on the view after Admit) left the
 // controller pointing at a plan whose reservations were already freed —
 // and the server drain path's Rollback/TakePlan then double-released them.
-func (c *Controller) Republish(now int) error {
-	if len(c.files) == 0 {
-		return nil
+func (c *Controller) FinishRepublish(job *RepublishJob) (swapped bool, err error) {
+	if !job.solved {
+		return false, fmt.Errorf("admission: finishing a republish job that was not solved")
 	}
-	if now != c.slot {
-		return fmt.Errorf("admission: republish at slot %d for batch of slot %d", now, c.slot)
+	if job.c != c {
+		return false, nil
 	}
-	if c.solver == nil {
-		c.solver = core.NewSolver(c.cfg.Solver)
+	if job.stats.Solves > c.solverStats.Solves {
+		// Jobs may finish in another order than they were solved; the
+		// published counters never step back.
+		c.solverStats = job.stats
 	}
-	res, err := c.solver.Solve(c.res.Ledger(), c.files, now)
-	if err != nil {
-		return fmt.Errorf("admission: republish solve: %w", err)
+	if job.gen != c.gen {
+		return false, nil
 	}
+	if job.err != nil {
+		return false, fmt.Errorf("admission: republish solve: %w", job.err)
+	}
+	res := job.res
 	if res.Status != lp.Optimal {
-		return nil
+		c.settled = true
+		return false, nil
 	}
 	lpDelta := res.CostPerSlot - c.res.Ledger().CostPerSlot()
 	saved := c.res.Clone()
 	if err := c.releaseSchedule(c.plan); err != nil {
 		c.restoreReservations(saved)
-		return fmt.Errorf("admission: releasing fast-tier reservations: %w", err)
+		return false, fmt.Errorf("admission: releasing fast-tier reservations: %w", err)
 	}
 	if err := c.reserveSchedule(res.Schedule); err != nil {
 		// The LP plan no longer fits the reservation view (it was solved
@@ -215,13 +292,46 @@ func (c *Controller) Republish(now int) error {
 		// and keep the fast plan — the same defensive outcome as a
 		// non-optimal solve.
 		c.restoreReservations(saved)
-		return nil
+		c.settled = true
+		return false, nil
 	}
 	c.stats.Republishes++
 	c.stats.RepublishDelta += c.batchCost - lpDelta
 	c.batchCost = lpDelta
 	c.plan = res.Schedule
-	return nil
+	c.settled = true
+	return true, nil
+}
+
+// Republish re-solves the open batch with the incremental LP solver and
+// swaps it to the LP's plan: BeginRepublish, Solve and FinishRepublish in
+// one synchronous call, for callers with nothing to do meanwhile. An empty
+// batch is a no-op.
+func (c *Controller) Republish(now int) error {
+	if len(c.files) == 0 {
+		return nil
+	}
+	job, err := c.BeginRepublish(now)
+	if err != nil {
+		return err
+	}
+	job.Solve()
+	_, err = c.FinishRepublish(job)
+	return err
+}
+
+// Settled reports whether re-solving the open batch would be wasted work:
+// the batch is empty, or the LP's verdict on exactly its current files —
+// swapped in, or defensively declined — is already applied. Admit, TakePlan,
+// Rollback and Invalidate unsettle it.
+func (c *Controller) Settled() bool { return len(c.files) == 0 || c.settled }
+
+// Invalidate tells the controller that something a solve reads besides the
+// batch changed — the network's prices were reloaded: the open batch is
+// unsettled and every outstanding RepublishJob becomes stale.
+func (c *Controller) Invalidate() {
+	c.gen++
+	c.settled = false
 }
 
 // TakePlan closes the open batch: reservations are released (the caller is
@@ -242,6 +352,7 @@ func (c *Controller) TakePlan() (*schedule.Schedule, []netmodel.File, error) {
 	}
 	c.stats.FastCost += c.batchCost
 	c.plan, c.files, c.batchCost = nil, nil, 0
+	c.Invalidate()
 	return plan, files, nil
 }
 
@@ -257,6 +368,7 @@ func (c *Controller) Rollback() error {
 		return fmt.Errorf("admission: rollback: %w", err)
 	}
 	c.plan, c.files, c.batchCost = nil, nil, 0
+	c.Invalidate()
 	return nil
 }
 

@@ -5,6 +5,13 @@
 // while a background re-optimizer wraps the incremental core.Solver and
 // republishes the LP-optimal plan for the admitted batch between slots,
 // releasing the fast tier's over-reservations. No LP runs on the hot path.
+//
+// A Controller is single-threaded: its caller serializes every method behind
+// one lock. Republish is three steps — BeginRepublish, RepublishJob.Solve,
+// FinishRepublish — and only the middle one may run outside that lock: a
+// RepublishJob may be solved without the controller's lock only while the
+// ledger and the network's prices are not written (and one job at a time).
+// A job whose batch changed before its finish is stale and never swaps.
 package admission
 
 import (

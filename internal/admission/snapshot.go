@@ -22,15 +22,21 @@ type ControllerSnapshot struct {
 	Stats     Stats                          `json:"stats"`
 	Reserved  *netmodel.ReservationsSnapshot `json:"reserved,omitempty"`
 	Solver    *core.SolverSnapshot           `json:"solver,omitempty"`
+	// Settled records that the LP's verdict on Files is already applied, so
+	// a restored controller commits the batch without re-solving it, as the
+	// snapshotted one would have. Absent in older snapshots: those re-solve.
+	Settled bool `json:"settled,omitempty"`
 }
 
 // Snapshot captures the controller's full state. The returned value shares
-// nothing with the controller.
+// nothing with the controller. It reads the live solver, so no RepublishJob
+// may be mid-Solve.
 func (c *Controller) Snapshot() *ControllerSnapshot {
 	snap := &ControllerSnapshot{
 		Slot:      c.slot,
 		Files:     append([]netmodel.File(nil), c.files...),
 		BatchCost: c.batchCost,
+		Settled:   c.settled,
 		Stats:     c.stats,
 		Reserved:  c.res.Snapshot(),
 	}
@@ -65,6 +71,7 @@ func RestoreController(ledger *netmodel.Ledger, cfg *Config, snap *ControllerSna
 	c.slot = snap.Slot
 	c.files = append([]netmodel.File(nil), snap.Files...)
 	c.batchCost = snap.BatchCost
+	c.settled = snap.Settled
 	c.stats = snap.Stats
 	if len(snap.Plan) > 0 {
 		c.plan = &schedule.Schedule{}
@@ -75,6 +82,7 @@ func RestoreController(ledger *netmodel.Ledger, cfg *Config, snap *ControllerSna
 	if snap.Solver != nil {
 		c.solver = core.NewSolver(c.cfg.Solver)
 		c.solver.Restore(ledger.Network(), snap.Solver)
+		c.solverStats = c.solver.Stats()
 	}
 	return c, nil
 }

@@ -1,13 +1,15 @@
 // Package server implements the postcard-server daemon: an HTTP/JSON
 // control plane over the two-tier admission pipeline. It decomposes into
-// three pieces sharing one mutex-guarded state machine:
+// three pieces sharing one state machine behind two locks (see Server: the
+// LP never runs under the lock admissions take):
 //
 //   - the controller front end (POST /v1/transfers) answers admit/reject
 //     synchronously from the fast tier, returning the provisional plan or
 //     the reject certificate;
 //   - the republisher re-solves the open batch through the warm
 //     incremental LP in the background and atomically swaps the batch's
-//     plan when the LP improves it;
+//     plan when the LP improves it — unless the batch changed while the LP
+//     ran, in which case the answer is dropped and the batch solved again;
 //   - the telemetry/plan surface (GET /v1/plans/{id}, GET /v1/status,
 //     GET /metrics) exposes per-file schedules and the full solver and
 //     admission counter set.
@@ -85,11 +87,27 @@ type PlanRecord struct {
 	Actions     []schedule.Action `json:"actions,omitempty"`
 }
 
-// Server is the daemon state machine. All fields behind mu; safe for
-// concurrent use by the HTTP handlers, the republisher, and the slot
-// clock.
+// Server is the daemon state machine; safe for concurrent use by the HTTP
+// handlers, the republisher, and the slot clock. Two locks, taken in the
+// order solveMu, then mu:
+//
+//   - mu guards every field below it and is held only for bookkeeping:
+//     Admit, PlanByID and Status take nothing else, so they never wait for
+//     an LP solve.
+//   - solveMu owns the controller's LP solver and what a solve reads
+//     without mu: the ledger's volumes and the network's prices. Whoever
+//     solves (the republisher, AdvanceSlot, Close) or touches those
+//     (ReloadPricing, Snapshot, WriteSnapshot) holds it, so at most one
+//     solve runs at a time. Ledger and prices are written under both locks,
+//     since Admit reads them under mu.
+//
+// A solve is three steps (see admission.RepublishJob): begin under mu,
+// Solve with mu released, finish under mu. A job whose batch changed in
+// between is stale and never swaps.
 type Server struct {
 	cfg Config
+
+	solveMu sync.Mutex
 
 	mu     sync.Mutex
 	nw     *netmodel.Network
@@ -103,7 +121,11 @@ type Server struct {
 	slotsAdvanced int // lifetime slot commits (restarts included)
 	reloads       int // pricing reloads applied
 
-	republishPending bool
+	// republishing is true while the republisher goroutine runs; it keeps
+	// solving until the batch is settled, so admissions meanwhile need no
+	// goroutine of their own. Close waits for it on republisher.
+	republishing bool
+	republisher  sync.WaitGroup
 
 	clockStop chan struct{}
 	clockDone chan struct{}
@@ -255,39 +277,70 @@ func copyRecord(rec *PlanRecord) *PlanRecord {
 	return &cp
 }
 
-// scheduleRepublishLocked queues one background republish of the open
-// batch. Admissions arriving while a republish is pending coalesce into
-// it; the republish grabs the state lock, so it serializes with admits and
-// slot advances.
+// scheduleRepublishLocked makes sure the republisher goroutine is running.
+// Admissions arriving during its solve make that job stale; the goroutine
+// sees the batch unsettled at finish and solves the grown batch next, so at
+// most one solve is in flight and one is owed.
 func (s *Server) scheduleRepublishLocked() {
-	if s.cfg.NoRepublish || s.cfg.RepublishOnCommitOnly || s.republishPending {
+	if s.cfg.NoRepublish || s.cfg.RepublishOnCommitOnly || s.republishing {
 		return
 	}
-	s.republishPending = true
+	s.republishing = true
+	s.republisher.Add(1)
 	go func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.republishPending = false
-		if s.closed {
-			return
-		}
-		if err := s.republishLocked(); err != nil {
-			s.logf("republish: %v", err)
+		defer s.republisher.Done()
+		for s.republishOnce() {
 		}
 	}()
 }
 
-// republishLocked re-solves the open batch through the LP and refreshes
-// the provisional plan records from the (possibly swapped) batch plan.
-func (s *Server) republishLocked() error {
-	if len(s.ctrl.Pending()) == 0 {
-		return nil
+// republishOnce runs one solve of the open batch and reports whether the
+// batch needs another. solveMu is released between rounds so a waiting
+// AdvanceSlot, ReloadPricing, Snapshot or Close gets its turn.
+func (s *Server) republishOnce() (again bool) {
+	s.solveMu.Lock()
+	defer s.solveMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed && !s.ctrl.Settled() {
+		if err := s.solveLocked(false); err != nil {
+			s.logf("republish: %v", err)
+		} else {
+			again = !s.ctrl.Settled()
+		}
 	}
-	if err := s.ctrl.Republish(s.slot); err != nil {
+	s.republishing = again
+	return again
+}
+
+// solveLocked runs one begin / solve / finish round on the open batch,
+// which must not be empty. The caller holds solveMu and mu; unless keepMu is
+// set, mu is released while the LP runs, so admissions proceed and may make
+// the job stale — FinishRepublish then drops it and the batch stays
+// unsettled. When the batch swapped to the LP's plan, the provisional plan
+// records are refreshed from it.
+func (s *Server) solveLocked(keepMu bool) error {
+	job, err := s.ctrl.BeginRepublish(s.slot)
+	if err != nil {
 		return err
 	}
-	s.refreshProvisionalLocked()
-	return nil
+	if keepMu {
+		job.Solve()
+	} else {
+		s.mu.Unlock()
+		job.Solve()
+		s.mu.Lock()
+	}
+	return s.finishSolveLocked(job)
+}
+
+// finishSolveLocked applies a solved job under mu.
+func (s *Server) finishSolveLocked(job *admission.RepublishJob) error {
+	swapped, err := s.ctrl.FinishRepublish(job)
+	if swapped {
+		s.refreshProvisionalLocked()
+	}
+	return err
 }
 
 // refreshProvisionalLocked re-splits the batch's current merged plan into
@@ -307,10 +360,14 @@ func (s *Server) refreshProvisionalLocked() {
 	}
 }
 
-// AdvanceSlot closes the current slot: the open batch is republished one
-// final time (unless disabled), committed to the ledger, its records
-// flipped to committed, and the clock moves to the next slot.
+// AdvanceSlot closes the current slot: the open batch is solved one last
+// time (unless the republisher is disabled or already settled it),
+// committed to the ledger, its records flipped to committed, and the clock
+// moves to the next slot. It waits for a republisher solve in flight;
+// transfers admitted during that wait join the closing batch.
 func (s *Server) AdvanceSlot() (int, error) {
+	s.solveMu.Lock()
+	defer s.solveMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -330,11 +387,20 @@ func (s *Server) advanceLocked() error {
 	return nil
 }
 
-// commitBatchLocked finalizes the open batch (republish + TakePlan +
-// ledger apply + record flip) without advancing the clock.
+// commitBatchLocked finalizes the open batch (closing solve + TakePlan +
+// ledger apply + record flip) without advancing the clock. The caller holds
+// solveMu and mu.
+//
+// A batch the republisher already settled — the usual case — commits
+// without an LP. Otherwise the closing solve keeps mu, unlike the
+// republisher's: an admission let in here would join the closing batch,
+// make the solve stale and force another on a larger batch, and LP time
+// grows much faster than batch size — measured on daemon-wide, off-lock
+// closing solves turned one slow batch into second-long advances (see
+// DESIGN.md §10).
 func (s *Server) commitBatchLocked() error {
-	if len(s.ctrl.Pending()) > 0 && !s.cfg.NoRepublish {
-		if err := s.republishLocked(); err != nil {
+	if !s.cfg.NoRepublish && !s.ctrl.Settled() {
+		if err := s.solveLocked(true); err != nil {
 			return err
 		}
 	}
@@ -397,7 +463,7 @@ func (s *Server) statusLocked() Status {
 		Slot:          s.slot,
 		CostPerSlot:   s.ledger.CostPerSlot(),
 		TotalCost:     s.ledger.TotalCost(),
-		PendingFiles:  len(s.ctrl.Pending()),
+		PendingFiles:  s.ctrl.PendingCount(),
 		Plans:         len(s.plans),
 		SlotsAdvanced: s.slotsAdvanced,
 		Reloads:       s.reloads,
@@ -409,10 +475,12 @@ func (s *Server) statusLocked() Status {
 // ReloadPricing swaps the link prices to the instance's, keeping topology
 // and capacities fixed (changing either would invalidate in-flight
 // reservations and recorded volumes). Prices are read per solve, so the
-// next republish and all later slots price against the new tariff; the
-// ledger's recorded volumes are unaffected. This is the SIGHUP handler's
-// backend.
+// next republish and all later slots price against the new tariff — the
+// open batch is unsettled, so its commit re-solves it; the ledger's recorded
+// volumes are unaffected. This is the SIGHUP handler's backend.
 func (s *Server) ReloadPricing(inst *netmodel.Instance) error {
+	s.solveMu.Lock()
+	defer s.solveMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -444,6 +512,8 @@ func (s *Server) ReloadPricing(inst *netmodel.Instance) error {
 	if missing != "" {
 		return fmt.Errorf("server: pricing reload drops link %s", missing)
 	}
+	// From here on the batch's LP verdict is priced on the old tariff.
+	s.ctrl.Invalidate()
 	for _, l := range inst.Links {
 		if err := s.nw.SetLink(netmodel.DC(l.From), netmodel.DC(l.To), l.Price, l.Capacity); err != nil {
 			return err
@@ -471,16 +541,19 @@ func (s *Server) Close() error {
 		close(stop)
 		<-done
 	}
+	s.republisher.Wait()
 
+	s.solveMu.Lock()
+	defer s.solveMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var drainErr error
-	if len(s.ctrl.Pending()) > 0 {
+	if n := s.ctrl.PendingCount(); n > 0 {
 		if s.cfg.DrainRollback {
-			s.logf("drain: rolling back %d pending files", len(s.ctrl.Pending()))
+			s.logf("drain: rolling back %d pending files", n)
 			drainErr = s.ctrl.Rollback()
 		} else {
-			s.logf("drain: committing %d pending files", len(s.ctrl.Pending()))
+			s.logf("drain: committing %d pending files", n)
 			drainErr = s.commitBatchLocked()
 		}
 	}

@@ -169,6 +169,42 @@ func TestServerRejectCertificate(t *testing.T) {
 	}
 }
 
+// TestServerOversizeBody checks the request bound: a body past the limit is
+// refused with 413 and the usual error body before it reaches Admit, and no
+// counter of the daemon moves.
+func TestServerOversizeBody(t *testing.T) {
+	s := testServer(t, Config{Network: testNetwork(t, 3, 10), Charging: netmodel.MaxCharging(16)})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	before := s.Status()
+	// Valid JSON all the way, so only its size can be the objection.
+	body := `{"src":0,"dst":1,"deadline":2,"size_gb":` + strings.Repeat("1", maxTransferBody) + `}`
+	resp, err := http.Post(ts.URL+"/v1/transfers", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize body: code %d, want 413", resp.StatusCode)
+	}
+	var e errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+		t.Errorf("oversize body: error body %+v, %v", e, err)
+	}
+	if after := s.Status(); !reflect.DeepEqual(before, after) {
+		t.Errorf("a refused body moved the daemon's state:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if s.nextID != 1 {
+		t.Errorf("a refused body consumed file ID %d", s.nextID-1)
+	}
+	// The connection's next request is served as usual.
+	var ok TransferResponse
+	if code := postJSON(t, ts, "/v1/transfers", TransferRequest{Src: 0, Dst: 1, SizeGB: 5, Deadline: 2}, &ok); code != http.StatusOK || ok.ID != 1 {
+		t.Errorf("admit after a refused body: code %d, %+v", code, ok)
+	}
+}
+
 // TestServerMetrics checks the Prometheus exposition: scrape after a
 // couple of slots and verify the counter values against /v1/status.
 func TestServerMetrics(t *testing.T) {
@@ -501,10 +537,13 @@ func TestServerReloadPricing(t *testing.T) {
 }
 
 // TestServerConcurrentTraffic hammers the daemon from many goroutines
-// (admits, advances, scrapes, plan reads) to give the race detector
-// something to chew on; invariants are re-checked at the end.
+// (admits, advances, scrapes, plan reads, and the solver lock's other
+// holders: pricing reloads and snapshots) while the republisher solves in
+// the background, to give the race detector something to chew on;
+// invariants are re-checked at the end.
 func TestServerConcurrentTraffic(t *testing.T) {
-	s := testServer(t, Config{Network: testNetwork(t, 5, 500), Charging: netmodel.MaxCharging(64)})
+	nw := testNetwork(t, 5, 500)
+	s := testServer(t, Config{Network: nw, Charging: netmodel.MaxCharging(64)})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -540,11 +579,41 @@ func TestServerConcurrentTraffic(t *testing.T) {
 			postJSON(t, ts, "/v1/slots/advance", nil, nil)
 		}
 	}()
+	// One reprices every link back and forth, one snapshots: both read or
+	// write what a solve in flight reads.
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		inst := netmodel.InstanceOf(nw, nil)
+		for k := 0; k < 6; k++ {
+			factor := 2.0
+			if k%2 == 1 {
+				factor = 0.5
+			}
+			for i := range inst.Links {
+				inst.Links[i].Price *= factor
+			}
+			if err := s.ReloadPricing(inst); err != nil {
+				t.Errorf("reload %d: %v", k, err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for k := 0; k < 6; k++ {
+			if _, err := json.Marshal(s.Snapshot()); err != nil {
+				t.Errorf("snapshot %d: %v", k, err)
+			}
+		}
+	}()
 	wg.Wait()
 	if _, err := s.AdvanceSlot(); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Status()
+	if st.Reloads != 6 {
+		t.Errorf("pricing reloads = %d, want 6", st.Reloads)
+	}
 	if st.Admission.Admits+st.Admission.Rejects != workers*10 {
 		t.Errorf("decisions = %d, want %d", st.Admission.Admits+st.Admission.Rejects, workers*10)
 	}

@@ -31,8 +31,11 @@ type Snapshot struct {
 	Plans         []PlanRecord                  `json:"plans,omitempty"`
 }
 
-// Snapshot captures the server's full state.
+// Snapshot captures the server's full state. It reads the LP solver's
+// warm-start state, so it waits for a solve in flight.
 func (s *Server) Snapshot() *Snapshot {
+	s.solveMu.Lock()
+	defer s.solveMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.snapshotLocked()
@@ -57,6 +60,8 @@ func (s *Server) snapshotLocked() *Snapshot {
 
 // WriteSnapshot writes the state snapshot to path (POST /v1/snapshot).
 func (s *Server) WriteSnapshot(path string) error {
+	s.solveMu.Lock()
+	defer s.solveMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
