@@ -10,15 +10,12 @@ package postcard_test
 // reproduction is `go run ./cmd/postcard-figs` (optionally -scale paper).
 
 import (
-	"flag"
-	"os"
 	"runtime"
 	"sort"
 	"testing"
 	"time"
 
 	"github.com/interdc/postcard"
-	"github.com/interdc/postcard/internal/cliutil"
 )
 
 // benchScale is small enough for testing.B iteration but preserves the
@@ -30,36 +27,6 @@ func benchScale() postcard.Scale {
 		Name: "bench", DCs: 6, Slots: 6, Runs: 2,
 		FilesMin: 2, FilesMax: 5, SizeMinGB: 10, SizeMaxGB: 100, Seed: 2012,
 	}
-}
-
-// applyEnvLPBackend routes the POSTCARD_LP_BACKEND / POSTCARD_LP_WORKERS
-// environment variables onto a scheduler set through the same
-// internal/cliutil plumbing the four binaries use for -lp-backend /
-// -lp-workers. scripts/bench.sh sets them to run the benchmark suite once
-// per backend (`-backends serial,parallel`); with neither variable set
-// this is a no-op and every scheduler keeps its default (serial) backend.
-// Costs and solver counters are backend-invariant by the determinism
-// contract, so the only signal that may move between backends is ns/op.
-func applyEnvLPBackend(b *testing.B, scheds []postcard.Scheduler) {
-	b.Helper()
-	name := os.Getenv("POSTCARD_LP_BACKEND")
-	workers := os.Getenv("POSTCARD_LP_WORKERS")
-	if name == "" && workers == "" {
-		return
-	}
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	lpb := cliutil.AddLPBackendFlags(fs)
-	var args []string
-	if name != "" {
-		args = append(args, "-lp-backend="+name)
-	}
-	if workers != "" {
-		args = append(args, "-lp-workers="+workers)
-	}
-	if err := fs.Parse(args); err != nil {
-		b.Fatalf("parsing POSTCARD_LP_* environment: %v", err)
-	}
-	lpb.Apply(scheds...)
 }
 
 // benchFigure runs one evaluation figure per b.N iteration at the given
@@ -80,12 +47,6 @@ func benchFigure(b *testing.B, figure int, scale postcard.Scale, mkSchedulers fu
 				&postcard.FlowScheduler{Variant: postcard.FlowLP},
 			}
 		}
-	}
-	inner := mkSchedulers
-	mkSchedulers = func() []postcard.Scheduler {
-		scheds := inner()
-		applyEnvLPBackend(b, scheds)
-		return scheds
 	}
 	var last *postcard.FigureResult
 	b.ReportAllocs()

@@ -49,7 +49,6 @@ func run() (err error) {
 	filesMax := flag.Int("files-max", 0, "override maximum files per slot")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel (run, scheduler) simulation cells; 1 = sequential (output is identical either way)")
 	quiet := flag.Bool("q", false, "suppress per-run progress")
-	lpb := cliutil.AddLPBackendFlags(flag.CommandLine)
 	prof := cliutil.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -61,7 +60,6 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	lpb.Apply(schedulers...)
 	stopProf, err := prof.Start()
 	if err != nil {
 		return err

@@ -38,9 +38,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/interdc/postcard/internal/admission"
 	"github.com/interdc/postcard/internal/cliutil"
-	"github.com/interdc/postcard/internal/core"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/server"
 )
@@ -73,7 +71,6 @@ func run() (err error) {
 	drain := flag.String("drain", "commit", "shutdown policy for the open batch: commit | rollback")
 	noRepublish := flag.Bool("no-republish", false, "disable the LP republisher entirely")
 	commitOnly := flag.Bool("republish-on-commit-only", false, "republish only when a slot commits (one LP solve per slot, bit-comparable to a sequential postcard-fast run)")
-	lpb := cliutil.AddLPBackendFlags(flag.CommandLine)
 	prof := cliutil.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -104,13 +101,6 @@ func run() (err error) {
 		NoRepublish:           *noRepublish,
 		RepublishOnCommitOnly: *commitOnly,
 		Logf:                  log.Printf,
-	}
-	if lpb.Chosen() {
-		// Thread the LP backend selection into the republisher's solver;
-		// plans and costs are identical for every backend and worker count.
-		cfg.Admission = &admission.Config{
-			Solver: &core.Config{LPBackend: lpb.Name(), LPWorkers: lpb.Workers()},
-		}
 	}
 
 	var srv *server.Server

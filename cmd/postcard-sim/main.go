@@ -52,7 +52,6 @@ func run() (err error) {
 	traceOut := flag.String("trace-out", "", "record the generated workload to this JSON file")
 	instanceOut := flag.String("instance-out", "", "write the generated network as an instance JSON file (e.g. for postcard-server)")
 	traceIn := flag.String("trace-in", "", "replay a workload recorded with -trace-out")
-	lpb := cliutil.AddLPBackendFlags(flag.CommandLine)
 	prof := cliutil.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -64,7 +63,6 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	lpb.Apply(scheds...)
 	if err := cliutil.ValidateWorkers(*workers); err != nil {
 		return err
 	}

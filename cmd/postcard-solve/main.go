@@ -42,7 +42,6 @@ func run() (err error) {
 	scheduler := flag.String("scheduler", "postcard", `scheduler name ("help" lists all; "flow" is a legacy alias for flow-based)`)
 	dotOut := flag.String("dot", "", "write the time-expanded graph in DOT format to this file")
 	jsonOut := flag.Bool("json", false, "emit the plan as JSON instead of text")
-	lpb := cliutil.AddLPBackendFlags(flag.CommandLine)
 	prof := cliutil.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -95,7 +94,7 @@ func run() (err error) {
 		fmt.Printf("time-expanded graph written to %s\n", *dotOut)
 	}
 
-	plan, cost, status, lpRes, err := solve(*scheduler, ledger, files, slot, lpb)
+	plan, cost, status, lpRes, err := solve(*scheduler, ledger, files, slot)
 	if err != nil {
 		return err
 	}
@@ -142,17 +141,6 @@ func run() (err error) {
 			fmt.Printf("lp path pricing: %d lazy rows, %d arc fallbacks\n",
 				lpRes.ColGenRows, lpRes.PathFallbacks)
 		}
-		if lpRes.ParallelScans+lpRes.SpecFtrans > 0 {
-			parFrac, hitRate := 0.0, 0.0
-			if lpRes.DevexScans > 0 {
-				parFrac = 100 * float64(lpRes.ParallelScans) / float64(lpRes.DevexScans)
-			}
-			if lpRes.SpecFtrans > 0 {
-				hitRate = 100 * float64(lpRes.SpecFtranHits) / float64(lpRes.SpecFtrans)
-			}
-			fmt.Printf("lp backend: %d workers, %.1f%% parallel scans, %d speculative ftrans (%.1f%% hit)\n",
-				lpRes.BackendWorkers, parFrac, lpRes.SpecFtrans, hitRate)
-		}
 	}
 	return nil
 }
@@ -176,22 +164,13 @@ func defaultInstance() (*postcard.Network, []postcard.File, error) {
 	return nw, files, nil
 }
 
-func solve(name string, ledger *postcard.Ledger, files []postcard.File, slot int, lpb *cliutil.LPBackend) (*postcard.Schedule, float64, postcard.SolveStatus, *postcard.Result, error) {
+func solve(name string, ledger *postcard.Ledger, files []postcard.File, slot int) (*postcard.Schedule, float64, postcard.SolveStatus, *postcard.Result, error) {
 	if name == "flow" {
 		name = "flow-based" // legacy alias from before the registry
 	}
-	// The -lp-backend/-lp-workers selection, as an optimizer config (nil
-	// when the flags were left at their defaults) and as an admission
-	// config for the fast-tier cases.
-	var coreCfg *postcard.Config
-	var admCfg *postcard.AdmissionConfig
-	if lpb.Chosen() {
-		coreCfg = &postcard.Config{LPBackend: lpb.Name(), LPWorkers: lpb.Workers()}
-		admCfg = &postcard.AdmissionConfig{Solver: coreCfg}
-	}
 	switch name {
 	case "postcard":
-		res, err := postcard.Solve(ledger, files, slot, coreCfg)
+		res, err := postcard.Solve(ledger, files, slot, nil)
 		if err != nil {
 			return nil, 0, 0, nil, err
 		}
@@ -200,7 +179,7 @@ func solve(name string, ledger *postcard.Ledger, files []postcard.File, slot int
 		// One-shot use of the incremental solver: equivalent to "postcard"
 		// for a single solve (the cache is empty), provided for parity with
 		// the simulator's scheduler names.
-		res, err := postcard.NewIncrementalSolver(coreCfg).Solve(ledger, files, slot)
+		res, err := postcard.NewIncrementalSolver(nil).Solve(ledger, files, slot)
 		if err != nil {
 			return nil, 0, 0, nil, err
 		}
@@ -208,11 +187,7 @@ func solve(name string, ledger *postcard.Ledger, files []postcard.File, slot int
 	case "postcard-path":
 		// Offline solve under Dantzig-Wolfe path pricing; the result carries
 		// the path-oracle counters alongside the usual LP stats.
-		res, err := postcard.New(
-			postcard.WithPricing(postcard.PricingPath),
-			postcard.WithLPBackend(lpb.Name()),
-			postcard.WithLPWorkers(lpb.Workers()),
-		).Solve(ledger, files, slot)
+		res, err := postcard.New(postcard.WithPricing(postcard.PricingPath)).Solve(ledger, files, slot)
 		if err != nil {
 			return nil, 0, 0, nil, err
 		}
@@ -222,7 +197,7 @@ func solve(name string, ledger *postcard.Ledger, files []postcard.File, slot int
 		// on provisional single-path plans; "postcard-fast" then republishes
 		// the batch through the LP before committing. Any rejection makes
 		// the instance infeasible for the fast tier (it never splits files).
-		ctrl, err := postcard.NewAdmissionController(ledger, admCfg)
+		ctrl, err := postcard.NewAdmissionController(ledger, nil)
 		if err != nil {
 			return nil, 0, 0, nil, err
 		}
@@ -259,7 +234,6 @@ func solve(name string, ledger *postcard.Ledger, files []postcard.File, slot int
 	if err != nil {
 		return nil, 0, 0, nil, err
 	}
-	lpb.Apply(sched)
 	plan, err := sched.Schedule(ledger, files, slot)
 	if errors.Is(err, postcard.ErrInfeasible) {
 		return nil, 0, postcard.StatusInfeasible, nil, err

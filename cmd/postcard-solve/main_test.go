@@ -1,25 +1,11 @@
 package main
 
 import (
-	"flag"
 	"math"
 	"testing"
 
 	"github.com/interdc/postcard"
-	"github.com/interdc/postcard/internal/cliutil"
 )
-
-// lpbFlags builds an LPBackend selection as the flag package would, from
-// zero or more "-lp-backend=..."/"-lp-workers=..." arguments.
-func lpbFlags(t *testing.T, args ...string) *cliutil.LPBackend {
-	t.Helper()
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	lpb := cliutil.AddLPBackendFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
-	}
-	return lpb
-}
 
 func TestLoadInstanceFromFile(t *testing.T) {
 	nw, files, err := loadInstance("testdata/relay.json")
@@ -51,50 +37,31 @@ func TestLoadInstanceMissingFile(t *testing.T) {
 }
 
 func TestSolveDispatch(t *testing.T) {
-	// Every registry name must solve offline, plus the legacy "flow" alias —
-	// under the default backend and with the parallel LP backend selected,
-	// which must not change any plan or cost.
-	names := append(postcard.SchedulerNames(), "flow")
-	for _, args := range [][]string{nil, {"-lp-backend=parallel", "-lp-workers=3"}} {
-		lpb := lpbFlags(t, args...)
-		for _, name := range names {
-			nw, files, err := loadInstance("testdata/relay.json")
-			if err != nil {
-				t.Fatal(err)
-			}
-			ledger, err := postcard.NewLedger(nw, postcard.MaxCharging(100))
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, cost, status, _, err := solve(name, ledger, files, 0, lpb)
-			if err != nil {
-				t.Errorf("%s %v: %v", name, args, err)
-				continue
-			}
-			if status != postcard.StatusOptimal {
-				t.Errorf("%s %v: status %v", name, args, status)
-				continue
-			}
-			if plan.Len() == 0 || cost <= 0 {
-				t.Errorf("%s %v: empty plan or cost %v", name, args, cost)
-			}
+	// Every registry name must solve offline, plus the legacy "flow" alias.
+	for _, name := range append(postcard.SchedulerNames(), "flow") {
+		nw, files, err := loadInstance("testdata/relay.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger, err := postcard.NewLedger(nw, postcard.MaxCharging(100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, cost, status, _, err := solve(name, ledger, files, 0)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if status != postcard.StatusOptimal {
+			t.Errorf("%s: status %v", name, status)
+			continue
+		}
+		if plan.Len() == 0 || cost <= 0 {
+			t.Errorf("%s: empty plan or cost %v", name, cost)
 		}
 	}
-	if _, _, _, _, err := solve("bogus", nil, nil, 0, lpbFlags(t)); err == nil {
+	if _, _, _, _, err := solve("bogus", nil, nil, 0); err == nil {
 		t.Error("expected error for unknown scheduler")
-	}
-	// An unknown backend name must surface the lp layer's error through the
-	// whole -lp-backend plumbing, not silently fall back to serial.
-	nw, files, err := loadInstance("testdata/relay.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ledger, err := postcard.NewLedger(nw, postcard.MaxCharging(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, _, err := solve("postcard", ledger, files, 0, lpbFlags(t, "-lp-backend=bogus")); err == nil {
-		t.Error("expected error for unknown LP backend")
 	}
 }
 
@@ -107,7 +74,7 @@ func TestRelayInstanceOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cost, status, _, err := solve("postcard", ledger, files, 0, lpbFlags(t))
+	_, cost, status, _, err := solve("postcard", ledger, files, 0)
 	if err != nil || status != postcard.StatusOptimal {
 		t.Fatalf("solve: %v %v", err, status)
 	}

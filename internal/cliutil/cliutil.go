@@ -90,76 +90,6 @@ func (p *Profile) Start() (stop func() error, err error) {
 	return profiling.Start(*p.cpu, *p.mem)
 }
 
-// LPBackend carries the -lp-backend/-lp-workers flag values registered by
-// AddLPBackendFlags.
-type LPBackend struct {
-	backend *string
-	workers *int
-}
-
-// AddLPBackendFlags registers the shared LP compute-backend flags on fs:
-// -lp-backend selects the simplex kernel implementation ("serial" or
-// "parallel"), -lp-workers bounds the parallel backend's goroutine pool.
-// Both backends follow the same pivot trajectory, so every selection
-// produces bit-identical plans and costs; the flags change wall-clock time
-// only.
-func AddLPBackendFlags(fs *flag.FlagSet) *LPBackend {
-	return &LPBackend{
-		backend: fs.String("lp-backend", "",
-			`LP compute backend: "serial" or "parallel" (empty = serial; results are identical)`),
-		workers: fs.Int("lp-workers", 0,
-			"parallel LP backend pool size (0 = GOMAXPROCS; results are identical for every count)"),
-	}
-}
-
-// Name returns the selected backend name; empty keeps the solver default.
-func (l *LPBackend) Name() string { return *l.backend }
-
-// Workers returns the selected pool bound; 0 means GOMAXPROCS.
-func (l *LPBackend) Workers() int { return *l.workers }
-
-// Chosen reports whether either flag was set away from its default.
-func (l *LPBackend) Chosen() bool { return *l.backend != "" || *l.workers != 0 }
-
-// Apply threads the backend selection into every scheduler that solves an
-// LP: the Postcard adapters (optimizer config), the admission fast tier
-// (its background re-optimizer's config), and the flow baselines (their LP
-// options). Schedulers without an LP are left untouched, and nothing
-// happens when neither flag was set, so default runs stay byte-identical.
-func (l *LPBackend) Apply(scheds ...postcard.Scheduler) {
-	if !l.Chosen() {
-		return
-	}
-	for _, s := range scheds {
-		switch s := s.(type) {
-		case *postcard.PostcardScheduler:
-			if s.Config == nil {
-				s.Config = &postcard.Config{}
-			}
-			s.Config.LPBackend = l.Name()
-			s.Config.LPWorkers = l.Workers()
-		case *postcard.FastScheduler:
-			if s.Config == nil {
-				s.Config = &postcard.AdmissionConfig{}
-			}
-			if s.Config.Solver == nil {
-				s.Config.Solver = &postcard.Config{}
-			}
-			s.Config.Solver.LPBackend = l.Name()
-			s.Config.Solver.LPWorkers = l.Workers()
-		case *postcard.FlowScheduler:
-			if s.Config == nil {
-				s.Config = &postcard.FlowConfig{}
-			}
-			if s.Config.LP == nil {
-				s.Config.LP = &postcard.LPOptions{}
-			}
-			s.Config.LP.Backend = l.Name()
-			s.Config.LP.BackendWorkers = l.Workers()
-		}
-	}
-}
-
 // ValidateWorkers rejects non-positive -workers values.
 func ValidateWorkers(n int) error {
 	if n < 1 {

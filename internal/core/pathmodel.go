@@ -685,11 +685,7 @@ func (pb *pathBuilder) solve(opts *lp.Options) (res *Result, sol *lp.Solution, f
 		SolveDim:       sol.SolveDim,
 		DevexResets:    sol.DevexResets,
 		DualRecomputes: sol.DualRecomputes,
-		BackendWorkers: sol.BackendWorkers,
-		DevexScans:     sol.DevexScans,
-		ParallelScans:  sol.ParallelScans,
-		SpecFtrans:     sol.SpecFtrans,
-		SpecFtranHits:  sol.SpecFtranHits,
+		BackendWorkers: 1,
 		VarUniverse:    pb.varUniverse,
 		PrunedVars:     pb.prunedVars,
 		ColGenRounds:   sol.ColGenRounds,

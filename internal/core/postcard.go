@@ -74,13 +74,6 @@ type Config struct {
 	// concurrently under PricingPath; <= 0 selects GOMAXPROCS. Results are
 	// bit-identical for every worker count.
 	PricingWorkers int
-	// LPBackend selects the simplex compute backend ("serial" or
-	// "parallel"; empty selects serial). It overrides any Backend set in
-	// LP. Both backends produce bit-identical results; see lp.Options.
-	LPBackend string
-	// LPWorkers sets the parallel LP backend's pool size; <= 0 selects
-	// GOMAXPROCS. Worker count affects only wall-clock, never results.
-	LPWorkers int
 }
 
 func (c *Config) withDefaults() Config {
@@ -91,25 +84,10 @@ func (c *Config) withDefaults() Config {
 	if out.Epsilon <= 0 {
 		out.Epsilon = 1e-6
 	}
+	if out.LP == nil {
+		out.LP = &lp.Options{}
+	}
 	return out
-}
-
-// lpOptions materializes the solver options for one LP solve: the caller's
-// LP overrides, with the Config-level backend selection layered on top.
-// Every solve the optimizer issues goes through here, so -lp-backend
-// reaches the arc model, the path master, and the arc fallback alike.
-func (c Config) lpOptions() lp.Options {
-	opts := lp.Options{}
-	if c.LP != nil {
-		opts = *c.LP
-	}
-	if c.LPBackend != "" {
-		opts.Backend = c.LPBackend
-	}
-	if c.LPWorkers != 0 {
-		opts.BackendWorkers = c.LPWorkers
-	}
-	return opts
 }
 
 // Result is the outcome of one Postcard optimization.
@@ -148,17 +126,11 @@ type Result struct {
 	// restarts and full reduced-cost recomputations inside the simplex.
 	DevexResets    int
 	DualRecomputes int
-	// BackendWorkers is the LP compute backend's worker count (1 under the
-	// serial backend) — a configuration gauge that never affects results.
-	// DevexScans counts full devex pricing scans, ParallelScans the subset
-	// that fanned across the backend pool, and SpecFtrans/SpecFtranHits the
-	// speculative entering-column solves launched and the ones that served
-	// an actual entering column. All four are worker-count-independent.
+	// BackendWorkers is always 1 on a Result from an LP solve: the simplex
+	// runs its kernels on the calling goroutine. It survives the removal of
+	// the selectable LP compute backends only because the benchmark reports
+	// it as lp.backend_workers; drop it together with that metric.
 	BackendWorkers int
-	DevexScans     int
-	ParallelScans  int
-	SpecFtrans     int
-	SpecFtranHits  int
 	// PathRecycled counts path columns seeded into this solve's restricted
 	// master because they were active in the previous slot's optimum (the
 	// warm Solver's cross-slot column recycling; always zero under
@@ -239,7 +211,7 @@ func Solve(ledger *netmodel.Ledger, files []netmodel.File, t int, cfg *Config) (
 	if err != nil {
 		return nil, err
 	}
-	opts := conf.lpOptions()
+	opts := *conf.LP
 	crashed := false
 	if opts.InitialBasis == nil {
 		opts.InitialBasis = crashBasis(b)
@@ -337,7 +309,7 @@ func solvePathStateless(tg *timegraph.Graph, ledger *netmodel.Ledger, files []ne
 	if err := pb.build(); err != nil {
 		return nil, err
 	}
-	opts := conf.lpOptions()
+	opts := *conf.LP
 	crashed := false
 	if opts.InitialBasis == nil {
 		opts.InitialBasis = pathCrashBasis(pb)
@@ -364,7 +336,7 @@ func solveArcFallback(tg *timegraph.Graph, ledger *netmodel.Ledger, files []netm
 	if err := b.build(); err != nil {
 		return nil, err
 	}
-	opts := conf.lpOptions()
+	opts := *conf.LP
 	opts.InitialBasis = crashBasis(b)
 	res, _, err := b.solve(&opts)
 	if err != nil {
@@ -375,10 +347,6 @@ func solveArcFallback(tg *timegraph.Graph, ledger *netmodel.Ledger, files []netm
 	res.Iterations += pathRes.Iterations
 	res.Phase1Iter += pathRes.Phase1Iter
 	res.ColGenRounds += pathRes.ColGenRounds
-	res.DevexScans += pathRes.DevexScans
-	res.ParallelScans += pathRes.ParallelScans
-	res.SpecFtrans += pathRes.SpecFtrans
-	res.SpecFtranHits += pathRes.SpecFtranHits
 	res.PathRecycled += pathRes.PathRecycled
 	return res, nil
 }
@@ -414,11 +382,7 @@ func (b *builder) solve(opts *lp.Options) (*Result, *lp.Solution, error) {
 		SolveDim:       sol.SolveDim,
 		DevexResets:    sol.DevexResets,
 		DualRecomputes: sol.DualRecomputes,
-		BackendWorkers: sol.BackendWorkers,
-		DevexScans:     sol.DevexScans,
-		ParallelScans:  sol.ParallelScans,
-		SpecFtrans:     sol.SpecFtrans,
-		SpecFtranHits:  sol.SpecFtranHits,
+		BackendWorkers: 1,
 		VarUniverse:    b.varUniverse,
 		PrunedVars:     b.prunedVars,
 		PrunedRows:     b.prunedRows,

@@ -39,16 +39,6 @@ type SolveStats struct {
 	// restarts and full reduced-cost recomputations.
 	DevexResets    int
 	DualRecomputes int
-	// BackendWorkers is the LP compute backend's worker count (a gauge,
-	// not a counter: Add keeps the maximum seen, Sub keeps the newer
-	// snapshot's value). DevexScans, ParallelScans, SpecFtrans and
-	// SpecFtranHits total the backend's pricing-scan and speculative-FTRAN
-	// work; all four are bit-identical for every worker count.
-	BackendWorkers int
-	DevexScans     int
-	ParallelScans  int
-	SpecFtrans     int
-	SpecFtranHits  int
 	// PathRecycled totals the path columns seeded into restricted masters
 	// because they were active in the previous slot's optimum (the warm
 	// solver's cross-slot column recycling; zero under PricingArc).
@@ -86,13 +76,8 @@ type SolveStats struct {
 	RepublishDelta float64
 }
 
-// Add returns the element-wise sum of two stat snapshots (the
-// BackendWorkers gauge keeps the maximum of the two sides).
+// Add returns the element-wise sum of two stat snapshots.
 func (s SolveStats) Add(o SolveStats) SolveStats {
-	workers := s.BackendWorkers
-	if o.BackendWorkers > workers {
-		workers = o.BackendWorkers
-	}
 	return SolveStats{
 		Solves:         s.Solves + o.Solves,
 		WarmSolves:     s.WarmSolves + o.WarmSolves,
@@ -107,11 +92,6 @@ func (s SolveStats) Add(o SolveStats) SolveStats {
 		SolveDim:       s.SolveDim + o.SolveDim,
 		DevexResets:    s.DevexResets + o.DevexResets,
 		DualRecomputes: s.DualRecomputes + o.DualRecomputes,
-		BackendWorkers: workers,
-		DevexScans:     s.DevexScans + o.DevexScans,
-		ParallelScans:  s.ParallelScans + o.ParallelScans,
-		SpecFtrans:     s.SpecFtrans + o.SpecFtrans,
-		SpecFtranHits:  s.SpecFtranHits + o.SpecFtranHits,
 		PathRecycled:   s.PathRecycled + o.PathRecycled,
 		VarUniverse:    s.VarUniverse + o.VarUniverse,
 		PrunedVars:     s.PrunedVars + o.PrunedVars,
@@ -131,8 +111,7 @@ func (s SolveStats) Add(o SolveStats) SolveStats {
 }
 
 // Sub returns the element-wise difference s - o, turning two cumulative
-// snapshots into the work performed between them (the BackendWorkers gauge
-// keeps the newer snapshot's value).
+// snapshots into the work performed between them.
 func (s SolveStats) Sub(o SolveStats) SolveStats {
 	return SolveStats{
 		Solves:         s.Solves - o.Solves,
@@ -148,11 +127,6 @@ func (s SolveStats) Sub(o SolveStats) SolveStats {
 		SolveDim:       s.SolveDim - o.SolveDim,
 		DevexResets:    s.DevexResets - o.DevexResets,
 		DualRecomputes: s.DualRecomputes - o.DualRecomputes,
-		BackendWorkers: s.BackendWorkers,
-		DevexScans:     s.DevexScans - o.DevexScans,
-		ParallelScans:  s.ParallelScans - o.ParallelScans,
-		SpecFtrans:     s.SpecFtrans - o.SpecFtrans,
-		SpecFtranHits:  s.SpecFtranHits - o.SpecFtranHits,
 		PathRecycled:   s.PathRecycled - o.PathRecycled,
 		VarUniverse:    s.VarUniverse - o.VarUniverse,
 		PrunedVars:     s.PrunedVars - o.PrunedVars,
@@ -274,7 +248,7 @@ func (s *Solver) Solve(ledger *netmodel.Ledger, files []netmodel.File, t int) (*
 		return nil, err
 	}
 	s.bld = b
-	opts := s.conf.lpOptions()
+	opts := *s.conf.LP
 	opts.Presolve = true
 	snapshot := false
 	if s.valid && s.basis != nil {
@@ -323,7 +297,7 @@ func (s *Solver) solvePath(tg *timegraph.Graph, ledger *netmodel.Ledger, files [
 	if err != nil {
 		return nil, err
 	}
-	opts := s.conf.lpOptions()
+	opts := *s.conf.LP
 	opts.Presolve = true
 	snapshot := false
 	if s.valid && s.basis != nil {
@@ -508,13 +482,6 @@ func (s *Solver) record(res *Result) {
 	s.stats.SolveDim += res.SolveDim
 	s.stats.DevexResets += res.DevexResets
 	s.stats.DualRecomputes += res.DualRecomputes
-	if res.BackendWorkers > s.stats.BackendWorkers {
-		s.stats.BackendWorkers = res.BackendWorkers
-	}
-	s.stats.DevexScans += res.DevexScans
-	s.stats.ParallelScans += res.ParallelScans
-	s.stats.SpecFtrans += res.SpecFtrans
-	s.stats.SpecFtranHits += res.SpecFtranHits
 	s.stats.PathRecycled += res.PathRecycled
 	s.stats.VarUniverse += res.VarUniverse
 	s.stats.PrunedVars += res.PrunedVars

@@ -304,22 +304,6 @@ type Solution struct {
 	// drift of the incremental per-pivot updates.
 	DualRecomputes int
 
-	// BackendWorkers is the worker count of the compute backend that ran
-	// the solve (1 for the serial backend). It is a configuration gauge,
-	// not a counter: it never affects the numbers below, which are
-	// bit-identical for every worker count.
-	BackendWorkers int
-	// DevexScans counts full devex pricing scans; ParallelScans counts the
-	// subset that fanned out across the backend's worker pool (always zero
-	// for the serial backend; decided by a size-only threshold otherwise).
-	DevexScans    int
-	ParallelScans int
-	// SpecFtrans counts speculative base FTRANs launched for runner-up
-	// pricing candidates and SpecFtranHits the entering-column solves that
-	// were served from that speculative batch instead of being recomputed.
-	SpecFtrans    int
-	SpecFtranHits int
-
 	// ColGenRounds, ColGenColumns, ColGenRows and ColGenUniverse are filled
 	// by SolvePriced (and thus SolveColGen): the number of restricted-master
 	// solves performed, the number of delayed columns materialized into the
@@ -384,18 +368,6 @@ type Options struct {
 	// Solution (including duals, reduced costs and Basis) is expressed in
 	// the original model via the postsolve map.
 	Presolve bool
-
-	// Backend selects the compute backend for the simplex hot kernels:
-	// "" or "serial" (default) runs them on the calling goroutine exactly
-	// as the pre-backend solver did; "parallel" fans pricing scans,
-	// pivot-row assembly and speculative FTRANs across a goroutine pool.
-	// Both backends produce bit-identical results. Unknown names fail the
-	// solve with an error.
-	Backend string
-	// BackendWorkers sets the parallel backend's pool size; <= 0 selects
-	// GOMAXPROCS. Ignored by the serial backend. The worker count affects
-	// only wall-clock time, never results or counters.
-	BackendWorkers int
 }
 
 func (o *Options) withDefaults(rows, cols int) Options {

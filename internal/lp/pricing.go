@@ -86,9 +86,6 @@ func SolvePriced(m *Model, oracle PricingOracle, opts *Options) (*Solution, erro
 		iterations, phase1, factorized      int
 		sparseSolves, denseSolves, nnz, dim int
 		devexResets, dualRecomputes         int
-		devexScans, parallelScans           int
-		specFtrans, specFtranHits           int
-		backendWorkers                      int
 		rounds, cols, rows                  int
 		warmStarted                         bool
 	}{}
@@ -107,13 +104,6 @@ func SolvePriced(m *Model, oracle PricingOracle, opts *Options) (*Solution, erro
 		acc.dim += sol.SolveDim
 		acc.devexResets += sol.DevexResets
 		acc.dualRecomputes += sol.DualRecomputes
-		acc.devexScans += sol.DevexScans
-		acc.parallelScans += sol.ParallelScans
-		acc.specFtrans += sol.SpecFtrans
-		acc.specFtranHits += sol.SpecFtranHits
-		if sol.BackendWorkers > acc.backendWorkers {
-			acc.backendWorkers = sol.BackendWorkers
-		}
 		if acc.rounds == 1 {
 			acc.warmStarted = sol.WarmStarted
 		}
@@ -156,11 +146,6 @@ func SolvePriced(m *Model, oracle PricingOracle, opts *Options) (*Solution, erro
 			sol.SolveDim = acc.dim
 			sol.DevexResets = acc.devexResets
 			sol.DualRecomputes = acc.dualRecomputes
-			sol.DevexScans = acc.devexScans
-			sol.ParallelScans = acc.parallelScans
-			sol.SpecFtrans = acc.specFtrans
-			sol.SpecFtranHits = acc.specFtranHits
-			sol.BackendWorkers = acc.backendWorkers
 			sol.WarmStarted = acc.warmStarted
 			sol.ColGenRounds = acc.rounds
 			sol.ColGenColumns = acc.cols

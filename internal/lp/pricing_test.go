@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"github.com/interdc/postcard/internal/lp/backend"
 )
 
 // solveWithPricing solves m under the given pricing rule, failing the test
@@ -63,8 +61,14 @@ func TestDevexMatchesDantzigRandom(t *testing.T) {
 // source to sink. These massively degenerate network LPs are the structure
 // Postcard's time-expanded graphs produce, and the regime where pricing
 // rules diverge hardest in trajectory.
-func randomFlowModel(rng *rand.Rand) *Model {
-	n := 5 + rng.Intn(8)
+func randomFlowModel(rng *rand.Rand) *Model { return flowModel(rng, 5+rng.Intn(8)) }
+
+// largeFlowModel is randomFlowModel on 110 nodes: some 4,200 arcs, so every
+// per-iteration kernel walks thousands of columns instead of dozens.
+func largeFlowModel(rng *rand.Rand) *Model { return flowModel(rng, 110) }
+
+// flowModel builds the min-cost-flow LP of randomFlowModel on n nodes.
+func flowModel(rng *rand.Rand, n int) *Model {
 	src, sink := 0, n-1
 	demand := 1 + float64(rng.Intn(20))
 
@@ -175,33 +179,17 @@ func TestDevexReportsSparseCounters(t *testing.T) {
 // is the property that keeps large time-expanded solves out of the
 // allocator; a regression here shows up as GC pressure long before it
 // shows up as wrong answers.
-// It holds for every backend: the parallel pool preallocates all dispatch
-// state and per-slot speculation buffers, so fanning out must be as
-// allocation-free as the serial loops at any worker count.
 func TestSteadyStateIterationAllocs(t *testing.T) {
 	cases := []struct {
-		name    string
-		backend string
-		workers int
-		large   bool
+		name  string
+		model func(*rand.Rand) *Model
 	}{
-		{"serial", backend.NameSerial, 1, false},
-		{"parallel-w1", backend.NameParallel, 1, false},
-		{"parallel-w2", backend.NameParallel, 2, false},
-		{"parallel-w4", backend.NameParallel, 4, false},
-		{"parallel-w8", backend.NameParallel, 8, false},
-		// Above the fan-out threshold the kernels dispatch to the worker
-		// pool; the fanned paths must be as allocation-free as the serial
-		// branches.
-		{"parallel-w4-large", backend.NameParallel, 4, true},
+		{"random", randomFlowModel},
+		{"large", largeFlowModel},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(12))
-			m := randomFlowModel(rng)
-			if tc.large {
-				m = largeFlowModel(rng)
-			}
+			m := tc.model(rand.New(rand.NewSource(12)))
 			cf, err := m.buildCompForm()
 			if err != nil {
 				t.Fatal(err)
@@ -210,18 +198,9 @@ func TestSteadyStateIterationAllocs(t *testing.T) {
 			// instead of periodically resetting, exercising the pooled eta
 			// storage; the pool reaches its high-water mark during the
 			// warm-up solve.
-			opt := (&Options{
-				RefactorEvery:  1 << 20,
-				Backend:        tc.backend,
-				BackendWorkers: tc.workers,
-			}).withDefaults(cf.m, cf.n)
+			opt := (&Options{RefactorEvery: 1 << 20}).withDefaults(cf.m, cf.n)
 			cf.perturb(opt.Perturb)
-			be, err := backend.New(opt.Backend, opt.BackendWorkers, cf.m, cf.n+cf.m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer be.Close()
-			s := newSimplex(cf, opt, be)
+			s := newSimplex(cf, opt)
 			if err := s.coldStart(); err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +218,6 @@ func TestSteadyStateIterationAllocs(t *testing.T) {
 				s.clearAlpha()
 				s.clearRho()
 				s.priceDevex()
-				s.be.Speculate(s.lu, s.cf.a, s.sparseLimit(), -1)
 				s.priceMaintainedWindow()
 			}
 			kernels()

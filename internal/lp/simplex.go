@@ -4,19 +4,17 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/interdc/postcard/internal/lp/backend"
 	"github.com/interdc/postcard/internal/lp/sparse"
 )
 
-// Variable status within the simplex. The type (and its values) live in
-// the backend package so status slices cross the compute seam uncopied.
-type vstatus = backend.VStatus
+// Variable status within the simplex.
+type vstatus byte
 
 const (
-	vBasic   = backend.Basic
-	vAtLower = backend.AtLower
-	vAtUpper = backend.AtUpper
-	vFree    = backend.Free // nonbasic free variable resting at zero
+	vBasic vstatus = iota + 1
+	vAtLower
+	vAtUpper
+	vFree // nonbasic free variable resting at zero
 )
 
 // compForm is the computational form of a model: min c·x subject to
@@ -173,10 +171,6 @@ type simplex struct {
 
 	ws sparse.PatternWorkspace
 
-	// compute backend for the hot kernels, plus the reusable scan input.
-	be   backend.Backend
-	scan backend.PriceInput
-
 	useDevex bool
 
 	iters       int
@@ -200,11 +194,11 @@ type simplex struct {
 
 // newSimplex allocates all solver state for the computational form. Every
 // buffer a steady-state iteration appends to is pre-sized here, so iterations
-// after warm-up perform no allocations (asserted by TestIterationAllocs).
-// The backend is owned by the caller, who must Close it after the solve.
-func newSimplex(cf *compForm, opt Options, be backend.Backend) *simplex {
+// after warm-up perform no allocations (asserted by
+// TestSteadyStateIterationAllocs).
+func newSimplex(cf *compForm, opt Options) *simplex {
 	total := cf.n + cf.m
-	s := &simplex{
+	return &simplex{
 		cf:         cf,
 		opt:        opt,
 		at:         cf.a.ToCSR(),
@@ -231,19 +225,9 @@ func newSimplex(cf *compForm, opt Options, be backend.Backend) *simplex {
 		devexW:     make([]float64, total),
 		deltaIdx:   make([]int, 0, cf.m),
 		deltaVal:   make([]float64, 0, cf.m),
-		be:         be,
 		useDevex:   opt.Pricing == PricingDevex,
 		devexStale: true, // weights start uninitialized
 	}
-	s.scan = backend.PriceInput{
-		D:     s.d,
-		W:     s.devexW,
-		Lo:    cf.lo,
-		Hi:    cf.hi,
-		VStat: s.vstat,
-		Tol:   opt.OptTol,
-	}
-	return s
 }
 
 // sparseLimit is the pattern-size cutoff for the hyper-sparse triangular
@@ -364,42 +348,17 @@ func (s *simplex) noteSolve(ok bool, n int) {
 // touched positions in wIdx/wMark. w must be clear (all-zero, pattern empty)
 // on entry; callers restore that invariant with clearW.
 func (s *simplex) ftran(q int) {
-	var ok bool
-	if bx, bpat, bok, hit := s.be.Collect(q, s.lu); hit {
-		// The backend speculated this base solve against the exact same
-		// factorization; replaying it is bit-identical to solving afresh
-		// (the eta file is applied below at use time either way), and the
-		// hyper-sparse counters record exactly what the fresh solve would.
-		ok = bok
-		if ok {
-			s.wIdx = s.wIdx[:0]
-			for _, i := range bpat {
-				s.w[i] = bx[i]
-				s.wIdx = append(s.wIdx, i)
-			}
-		} else {
-			copy(s.w, bx)
-			s.wIdx = s.wIdx[:0]
-			for i, v := range s.w {
-				if v != 0 {
-					s.wIdx = append(s.wIdx, i)
-				}
-			}
-		}
+	idx, val := s.cf.a.ColumnSlices(q)
+	pat, ok := s.lu.SolveSparseRHS(idx, val, s.w, &s.ws, s.sparseLimit())
+	if ok {
+		s.wIdx = append(s.wIdx[:0], pat...)
 	} else {
-		idx, val := s.cf.a.ColumnSlices(q)
-		var pat []int
-		pat, ok = s.lu.SolveSparseRHS(idx, val, s.w, &s.ws, s.sparseLimit())
-		if ok {
-			s.wIdx = append(s.wIdx[:0], pat...)
-		} else {
-			// The dense fallback overwrote all of w; harvest the exact nonzeros
-			// so downstream pattern consumers see a uniform representation.
-			s.wIdx = s.wIdx[:0]
-			for i, v := range s.w {
-				if v != 0 {
-					s.wIdx = append(s.wIdx, i)
-				}
+		// The dense fallback overwrote all of w; harvest the exact nonzeros
+		// so downstream pattern consumers see a uniform representation.
+		s.wIdx = s.wIdx[:0]
+		for i, v := range s.w {
+			if v != 0 {
+				s.wIdx = append(s.wIdx, i)
 			}
 		}
 	}
@@ -524,12 +483,24 @@ func (s *simplex) btranUnit(r int) {
 
 // pivotRowAlpha assembles alpha = rhoᵀ A over all columns by walking the CSR
 // rows touched by the sparse BTRAN result — the hyper-sparse replacement for
-// scanning every column of A. The walk itself runs on the compute backend
-// (the parallel backend partitions it by column ranges, which preserves the
-// per-column accumulation order and therefore the exact floating-point
-// values; only the alphaIdx ordering may differ, which no consumer reads).
+// scanning every column of A.
 func (s *simplex) pivotRowAlpha() {
-	s.alphaIdx = s.be.PivotRow(s.at, s.rho, s.rhoIdx, s.alpha, s.alphaMark, s.alphaIdx[:0])
+	s.alphaIdx = s.alphaIdx[:0]
+	for _, i := range s.rhoIdx {
+		ri := s.rho[i]
+		if ri == 0 {
+			continue
+		}
+		cols, vals := s.at.RowSlices(i)
+		for p, j := range cols {
+			if !s.alphaMark[j] {
+				s.alphaMark[j] = true
+				s.alphaIdx = append(s.alphaIdx, j)
+				s.alpha[j] = 0
+			}
+			s.alpha[j] += ri * vals[p]
+		}
+	}
 }
 
 func (s *simplex) clearAlpha() {
@@ -685,7 +656,42 @@ func (s *simplex) recomputeD(phase1 bool) {
 // touched — this is a single pass over two dense arrays, which is what
 // makes full-scan (rather than windowed) pricing affordable here.
 func (s *simplex) priceDevex() (q int, dq, dir float64) {
-	return s.be.PriceDevex(&s.scan)
+	q = -1
+	best := 0.0
+	tol := s.opt.OptTol
+	total := s.cf.n + s.cf.m
+	for j := 0; j < total; j++ {
+		st := s.vstat[j]
+		if st == vBasic || s.cf.lo[j] == s.cf.hi[j] {
+			continue
+		}
+		dj := s.d[j]
+		var cdir float64
+		switch st {
+		case vAtLower:
+			if dj >= -tol {
+				continue
+			}
+			cdir = 1
+		case vAtUpper:
+			if dj <= tol {
+				continue
+			}
+			cdir = -1
+		default: // vFree
+			if dj < -tol {
+				cdir = 1
+			} else if dj > tol {
+				cdir = -1
+			} else {
+				continue
+			}
+		}
+		if score := dj * dj / s.devexW[j]; score > best {
+			best, q, dq, dir = score, j, dj, cdir
+		}
+	}
+	return q, dq, dir
 }
 
 // priceMaintainedWindow selects the entering variable with the legacy
@@ -790,7 +796,16 @@ func (s *simplex) phase1DualDelta() {
 		return
 	}
 	s.btranSparse(s.deltaIdx, s.deltaVal)
-	s.be.DualDelta(s.at, s.rho, s.rhoIdx, s.d)
+	for _, i := range s.rhoIdx {
+		vi := s.rho[i]
+		if vi == 0 {
+			continue
+		}
+		cols, vals := s.at.RowSlices(i)
+		for p, j := range cols {
+			s.d[j] -= vi * vals[p]
+		}
+	}
 	s.clearRho()
 }
 
@@ -1224,12 +1239,7 @@ func (m *Model) solveDirect(opts *Options) (*Solution, error) {
 	}
 	opt := opts.withDefaults(cf.m, cf.n)
 	cf.perturb(opt.Perturb)
-	be, err := backend.New(opt.Backend, opt.BackendWorkers, cf.m, cf.n+cf.m)
-	if err != nil {
-		return nil, err
-	}
-	defer be.Close()
-	s := newSimplex(cf, opt, be)
+	s := newSimplex(cf, opt)
 	if opt.InitialBasis != nil && s.tryWarmStart(opt.InitialBasis) {
 		s.warmStarted = true
 	} else if err := s.coldStart(); err != nil {
@@ -1430,11 +1440,6 @@ func (s *simplex) runPhase2() (Status, bool, error) {
 			}
 			confirmed = false
 			s.ftran(q)
-			// Launch speculative base FTRANs for this scan's runner-up
-			// candidates; they overlap the ratio test and pivot below and are
-			// collected by the next iteration's ftran if one of the runners
-			// wins the next scan against the same factorization.
-			s.be.Speculate(s.lu, s.cf.a, s.sparseLimit(), q)
 			res := s.ratioTest(q, dir, false)
 			if res.unbound {
 				s.clearW()
@@ -1509,13 +1514,7 @@ func (s *simplex) solution(m *Model, status Status) *Solution {
 		SolveDim:       s.solveDim,
 		DevexResets:    s.devexResets,
 		DualRecomputes: s.dRecomputes,
-		BackendWorkers: s.be.Workers(),
 	}
-	bc := s.be.Counters()
-	sol.DevexScans = bc.DevexScans
-	sol.ParallelScans = bc.ParallelScans
-	sol.SpecFtrans = bc.SpecFtrans
-	sol.SpecFtranHits = bc.SpecFtranHits
 	if status != Optimal && status != IterLimit {
 		return sol
 	}

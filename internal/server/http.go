@@ -185,11 +185,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("postcard_solver_path_solves_total", "Solves served by the Dantzig-Wolfe path master.", float64(v.PathSolves))
 	counter("postcard_solver_path_fallbacks_total", "Path-master solves that fell back to the arc model.", float64(v.PathFallbacks))
 	counter("postcard_solver_path_recycled_total", "Path columns recycled from earlier slots' optimal bases.", float64(v.PathRecycled))
-	counter("postcard_solver_devex_scans_total", "Devex pricing scans.", float64(v.DevexScans))
-	counter("postcard_solver_parallel_scans_total", "Devex scans fanned across the parallel backend's workers.", float64(v.ParallelScans))
-	counter("postcard_solver_spec_ftrans_total", "Speculative FTRANs issued for top-priced candidates.", float64(v.SpecFtrans))
-	counter("postcard_solver_spec_ftran_hits_total", "Speculative FTRANs consumed by the next iteration.", float64(v.SpecFtranHits))
-	gauge("postcard_solver_backend_workers", "LP compute backend worker pool size (1 = serial).", float64(v.BackendWorkers))
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(b.String()))

@@ -391,7 +391,7 @@ func (r *FigureResult) Table() string {
 // restricting anything). It returns the empty string when no scheduler
 // reported solver work, so plain (cold) runs render exactly as before.
 func (r *FigureResult) SolverTable() string {
-	anyLP, anyPath, anyAdm, anyBackend := false, false, false, false
+	anyLP, anyPath, anyAdm := false, false, false
 	for _, s := range r.Schedulers {
 		if s.Solver.Solves > 0 {
 			anyLP = true
@@ -401,9 +401,6 @@ func (r *FigureResult) SolverTable() string {
 		}
 		if s.Solver.Admits+s.Solver.Rejects > 0 {
 			anyAdm = true
-		}
-		if s.Solver.ParallelScans+s.Solver.SpecFtrans > 0 {
-			anyBackend = true
 		}
 	}
 	if !anyLP {
@@ -439,42 +436,7 @@ func (r *FigureResult) SolverTable() string {
 			hit, density, st.DevexResets, st.DualRecomputes,
 			pruned, st.ColGenRounds, gen)
 	}
-	return b.String() + r.backendTable(anyBackend) + r.pathTable(anyPath) + r.admissionTable(anyAdm)
-}
-
-// backendTable renders the LP compute-backend counters for every scheduler
-// that did parallel backend work (ParallelScans + SpecFtrans > 0), one row
-// per scheduler: devex pricing scans, the share that fanned out across the
-// worker pool, the speculative FTRANs issued for top-k priced candidates,
-// and the share that the next iteration actually consumed. It deliberately
-// omits the worker count — every counter here is worker-count-independent,
-// and the table must be too, so per-worker-count outputs stay byte
-// identical. It returns the empty string under the serial backend (which
-// never moves these counters), so pre-backend runs render exactly as before.
-func (r *FigureResult) backendTable(anyBackend bool) string {
-	if !anyBackend {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "LP backend (fig %d):\n", r.Setting.Figure)
-	fmt.Fprintf(&b, "%-16s %10s %10s %10s %8s\n",
-		"scheduler", "scans", "par-scan%", "spec-ftran", "hit%")
-	for _, s := range r.Schedulers {
-		st := s.Solver
-		if st.ParallelScans+st.SpecFtrans == 0 {
-			continue
-		}
-		parFrac, hitRate := 0.0, 0.0
-		if st.DevexScans > 0 {
-			parFrac = 100 * float64(st.ParallelScans) / float64(st.DevexScans)
-		}
-		if st.SpecFtrans > 0 {
-			hitRate = 100 * float64(st.SpecFtranHits) / float64(st.SpecFtrans)
-		}
-		fmt.Fprintf(&b, "%-16s %10d %9.1f%% %10d %7.1f%%\n",
-			s.Name, st.DevexScans, parFrac, st.SpecFtrans, hitRate)
-	}
-	return b.String()
+	return b.String() + r.pathTable(anyPath) + r.admissionTable(anyAdm)
 }
 
 // pathTable renders the Dantzig–Wolfe path-pricing counters for every

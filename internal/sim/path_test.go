@@ -176,8 +176,6 @@ func goldenDC64Result() *FigureResult {
 					ColGenRounds: 19, ColGenColumns: 87, ColGenRows: 203,
 					ColGenUniverse: 290304,
 					PathSolves:     4, PathFallbacks: 0, PathRecycled: 12,
-					BackendWorkers: 4, DevexScans: 1840,
-					ParallelScans: 1104, SpecFtrans: 388, SpecFtranHits: 291,
 				},
 			},
 		},
@@ -186,11 +184,9 @@ func goldenDC64Result() *FigureResult {
 
 // TestDC64SolverTableGolden pins the rendered solver table of the 64-DC
 // path-pricing figure byte-for-byte: the LP-work row plus the appended
-// backend section (scans, parallel fraction, speculative-FTRAN hit rate —
-// no worker count, since the table must be identical at every pool width)
-// and path-pricing section (solves, fallbacks, lazy rows, recycled
-// columns). Arc-only serial results omit both sections entirely, which
-// figure6-solver.golden already pins.
+// path-pricing section (solves, fallbacks, lazy rows, recycled columns).
+// Arc-only results omit the section entirely, which figure6-solver.golden
+// already pins.
 func TestDC64SolverTableGolden(t *testing.T) {
 	checkGolden(t, "dc64-solver.golden", goldenDC64Result().SolverTable())
 }

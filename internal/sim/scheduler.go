@@ -139,13 +139,6 @@ func (p *Postcard) Schedule(ledger *netmodel.Ledger, files []netmodel.File, slot
 			p.stats.ColGenUniverse += res.ColGenUniverse
 			p.stats.PathFallbacks += res.PathFallbacks
 			p.stats.PathRecycled += res.PathRecycled
-			p.stats.DevexScans += res.DevexScans
-			p.stats.ParallelScans += res.ParallelScans
-			p.stats.SpecFtrans += res.SpecFtrans
-			p.stats.SpecFtranHits += res.SpecFtranHits
-			if res.BackendWorkers > p.stats.BackendWorkers {
-				p.stats.BackendWorkers = res.BackendWorkers
-			}
 			if p.Config != nil && p.Config.Pricing == core.PricingPath {
 				p.stats.PathSolves++
 			}

@@ -84,24 +84,6 @@ func WithPricingWorkers(n int) Option {
 	return func(c *Client) { c.conf.PricingWorkers = n }
 }
 
-// WithLPBackend selects the LP compute backend by name: "serial" (the
-// default, the historical single-threaded kernels) or "parallel"
-// (multi-goroutine devex pricing and speculative FTRANs for top-priced
-// candidates). The backends follow the same pivot trajectory, so results
-// are bit-identical; an unknown name fails the solve with a descriptive
-// error. The empty string keeps the default.
-func WithLPBackend(name string) Option {
-	return func(c *Client) { c.conf.LPBackend = name }
-}
-
-// WithLPWorkers bounds the parallel LP backend's worker pool. Zero or
-// negative uses GOMAXPROCS; the serial backend ignores it. The knob affects
-// only wall-clock time, never results or solver counters — solutions are
-// bit-identical for every worker count.
-func WithLPWorkers(n int) Option {
-	return func(c *Client) { c.conf.LPWorkers = n }
-}
-
 // WithWarmStart makes the client keep incremental solver state between
 // Solve calls: consecutive slots reuse the time-expanded graph skeleton and
 // warm-start the LP from the previous basis.
