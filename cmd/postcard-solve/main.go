@@ -39,7 +39,7 @@ func main() {
 
 func run() (err error) {
 	input := flag.String("input", "", "instance JSON file ('-' for stdin; empty = built-in Fig. 3 example)")
-	scheduler := flag.String("scheduler", "postcard", `scheduler name ("help" lists all; "flow" is a legacy alias for flow-based)`)
+	scheduler := flag.String("scheduler", "postcard", `scheduler name ("help" lists all)`)
 	dotOut := flag.String("dot", "", "write the time-expanded graph in DOT format to this file")
 	jsonOut := flag.Bool("json", false, "emit the plan as JSON instead of text")
 	prof := cliutil.AddProfileFlags(flag.CommandLine)
@@ -165,9 +165,6 @@ func defaultInstance() (*postcard.Network, []postcard.File, error) {
 }
 
 func solve(name string, ledger *postcard.Ledger, files []postcard.File, slot int) (*postcard.Schedule, float64, postcard.SolveStatus, *postcard.Result, error) {
-	if name == "flow" {
-		name = "flow-based" // legacy alias from before the registry
-	}
 	switch name {
 	case "postcard":
 		res, err := postcard.Solve(ledger, files, slot, nil)
@@ -179,7 +176,7 @@ func solve(name string, ledger *postcard.Ledger, files []postcard.File, slot int
 		// One-shot use of the incremental solver: equivalent to "postcard"
 		// for a single solve (the cache is empty), provided for parity with
 		// the simulator's scheduler names.
-		res, err := postcard.NewIncrementalSolver(nil).Solve(ledger, files, slot)
+		res, err := postcard.New(postcard.WithWarmStart()).Solve(ledger, files, slot)
 		if err != nil {
 			return nil, 0, 0, nil, err
 		}

@@ -37,8 +37,8 @@ func TestLoadInstanceMissingFile(t *testing.T) {
 }
 
 func TestSolveDispatch(t *testing.T) {
-	// Every registry name must solve offline, plus the legacy "flow" alias.
-	for _, name := range append(postcard.SchedulerNames(), "flow") {
+	// Every registry name must solve offline.
+	for _, name := range postcard.SchedulerNames() {
 		nw, files, err := loadInstance("testdata/relay.json")
 		if err != nil {
 			t.Fatal(err)

@@ -37,20 +37,10 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Stats counts the admission tier's cumulative work. Admits and Rejects
-// count fast-path decisions (a batch re-admitted after the simulation
-// engine sheds a file counts again — they measure decision traffic, not
-// unique files). FastCost totals the provisional cost-per-slot increase of
-// batches actually taken (republished batches contribute their improved LP
-// delta); RepublishDelta totals the cost per slot the re-optimizer shaved
-// off the fast tier's provisional plans.
-type Stats struct {
-	Admits         int
-	Rejects        int
-	Republishes    int
-	FastCost       float64
-	RepublishDelta float64
-}
+// Stats counts the admission tier's cumulative work. It is declared in core
+// (see core.AdmissionStats), so the solver statistics of the simulation
+// adapter can embed the same counters.
+type Stats = core.AdmissionStats
 
 // Decision is the outcome of one Admit call.
 type Decision struct {

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
+	"github.com/interdc/postcard/internal/telemetry"
 )
 
 // pathTestInstance builds a small ring+chords instance shared by the
@@ -162,6 +164,24 @@ func TestPathPricingInfeasibleFallback(t *testing.T) {
 	}
 	if pathRes.PathFallbacks != 1 {
 		t.Errorf("expected PathFallbacks=1, got %d", pathRes.PathFallbacks)
+	}
+	// The fallback reports the failed path attempt's LP work on top of the
+	// arc solve's, in every counter: no counter of the attempt is dropped.
+	var names []string
+	var fallback, direct []float64
+	telemetry.Walk(&pathRes.Work, func(f reflect.StructField, x float64) {
+		names = append(names, f.Name)
+		fallback = append(fallback, x)
+	})
+	telemetry.Walk(&arcRes.Work, func(_ reflect.StructField, x float64) { direct = append(direct, x) })
+	for i, name := range names {
+		if fallback[i] < direct[i] {
+			t.Errorf("fallback %s = %v, below the direct arc solve's %v", name, fallback[i], direct[i])
+		}
+	}
+	if pathRes.DevexResets <= arcRes.DevexResets || pathRes.SparseSolves <= arcRes.SparseSolves {
+		t.Errorf("fallback dropped the path attempt's basis work: devex resets %d vs %d, sparse solves %d vs %d",
+			pathRes.DevexResets, arcRes.DevexResets, pathRes.SparseSolves, arcRes.SparseSolves)
 	}
 }
 

@@ -672,26 +672,15 @@ func (pb *pathBuilder) solve(opts *lp.Options) (res *Result, sol *lp.Solution, f
 	}
 	res = &Result{
 		Status:         sol.Status,
-		Iterations:     sol.Iterations,
-		Phase1Iter:     sol.Phase1Iter,
 		Variables:      pb.model.NumVariables(),
 		Constraints:    pb.model.NumConstraints(),
 		WarmStarted:    sol.WarmStarted,
-		PresolveCols:   sol.PresolveCols,
-		PresolveRows:   sol.PresolveRows,
-		SparseSolves:   sol.SparseSolves,
-		DenseSolves:    sol.DenseSolves,
-		SolveNNZ:       sol.SolveNNZ,
-		SolveDim:       sol.SolveDim,
-		DevexResets:    sol.DevexResets,
-		DualRecomputes: sol.DualRecomputes,
 		BackendWorkers: 1,
-		VarUniverse:    pb.varUniverse,
-		PrunedVars:     pb.prunedVars,
-		ColGenRounds:   sol.ColGenRounds,
-		ColGenColumns:  sol.ColGenColumns,
-		ColGenRows:     sol.ColGenRows,
-		ColGenUniverse: sol.ColGenUniverse,
+		Counters: Counters{
+			Work:        sol.Work,
+			VarUniverse: pb.varUniverse,
+			PrunedVars:  pb.prunedVars,
+		},
 	}
 	if sol.Status != lp.Optimal {
 		// Structurally unreachable (the master is feasible by construction),

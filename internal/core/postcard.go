@@ -17,6 +17,7 @@ import (
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/schedule"
+	"github.com/interdc/postcard/internal/telemetry"
 	"github.com/interdc/postcard/internal/timegraph"
 )
 
@@ -101,71 +102,51 @@ type Result struct {
 	// Status is the LP outcome (Optimal, or Infeasible when the files
 	// cannot all meet their deadlines under residual capacity).
 	Status lp.Status
-	// Iterations and Variables/Constraints describe the solved LP.
-	Iterations  int
-	Phase1Iter  int
+	// Variables and Constraints describe the solved LP.
 	Variables   int
 	Constraints int
 	// WarmStarted reports whether the LP accepted a warm-start basis
 	// (always false for the stateless Solve; see Solver).
 	WarmStarted bool
-	// PresolveCols and PresolveRows count the LP columns and rows removed
-	// by the presolve pass before the simplex ran (zero when presolve was
-	// not enabled or did not fire).
-	PresolveCols int
-	PresolveRows int
-	// SparseSolves and DenseSolves count basis triangular solves that took
-	// the hyper-sparse pattern path versus the dense fallback; SolveNNZ and
-	// SolveDim total their result-pattern sizes and basis dimensions (see
-	// lp.Solution for exact semantics).
-	SparseSolves int
-	DenseSolves  int
-	SolveNNZ     int
-	SolveDim     int
-	// DevexResets and DualRecomputes count devex reference-framework
-	// restarts and full reduced-cost recomputations inside the simplex.
-	DevexResets    int
-	DualRecomputes int
 	// BackendWorkers is always 1 on a Result from an LP solve: the simplex
 	// runs its kernels on the calling goroutine. It survives the removal of
 	// the selectable LP compute backends only because the benchmark reports
 	// it as lp.backend_workers; drop it together with that metric.
 	BackendWorkers int
-	// PathRecycled counts path columns seeded into this solve's restricted
-	// master because they were active in the previous slot's optimum (the
-	// warm Solver's cross-slot column recycling; always zero under
-	// PricingArc and for stateless solves).
-	PathRecycled int
+
+	// Counters is the work this solve performed.
+	Counters
+}
+
+// Counters declares the optimizer's work counters: the LP's (lp.Work) plus
+// what core does around the LP. It is embedded in Result, where it counts
+// one solve, and in SolveStats, where it totals many; internal/telemetry
+// sums, differences and exports it without naming a field, so adding a
+// counter is one tagged field here (or in lp.Work) plus its increment.
+type Counters struct {
+	lp.Work
 	// VarUniverse is the number of per-file transfer/holdover columns in
 	// the pruned universe — what a full (non-column-generated) model would
-	// materialize. Variables reports how many columns actually exist after
-	// the solve; the difference is the column-generation saving.
-	VarUniverse int
+	// materialize. Result.Variables reports how many columns actually exist
+	// after the solve; the difference is the column-generation saving.
+	VarUniverse int `metric:"var_universe_total,Variables in the pre-pruning universes."`
 	// PrunedVars and PrunedRows count the variables and conservation rows
 	// that deadline-reachability pruning removed from the model before it
 	// was ever assembled (zero under Config.DisablePruning, and zero on
 	// complete overlays, where every datacenter is one hop from every
 	// other).
-	PrunedVars int
-	PrunedRows int
-	// ColGenRounds, ColGenColumns and ColGenUniverse describe the delayed
-	// column generation: restricted-master solves performed, delayed
-	// columns materialized, and the delayed universe that was priced
-	// implicitly. All zero when generation did not run (Config.
-	// DisableColGen, or a model whose universe fits the restriction).
-	ColGenRounds   int
-	ColGenColumns  int
-	ColGenUniverse int
-	// ColGenRows counts the rows generation lazily appended alongside its
-	// columns — capacity and charge rows materialized on first touch by a
-	// path column. Always zero under PricingArc, whose rows are emitted on
-	// universe support up front.
-	ColGenRows int
-	// PathFallbacks is 1 when the path master terminated with positive
-	// artificials (the instance could not be served by generated paths) and
+	PrunedVars int `metric:"pruned_vars_total,Variables removed by deadline-reachability pruning."`
+	PrunedRows int `metric:"pruned_rows_total,Rows removed by deadline-reachability pruning."`
+	// PathRecycled counts path columns seeded into the restricted master
+	// because they were active in the previous slot's optimum (the warm
+	// Solver's cross-slot column recycling; always zero under PricingArc and
+	// for stateless solves).
+	PathRecycled int `metric:"path_recycled_total,Path columns recycled from earlier slots' optimal bases."`
+	// PathFallbacks counts path-master solves that terminated with positive
+	// artificials (the instance could not be served by generated paths), so
 	// the reported result came from the authoritative arc-model fallback
-	// solve; 0 otherwise and always under PricingArc.
-	PathFallbacks int
+	// solve; always zero under PricingArc.
+	PathFallbacks int `metric:"path_fallbacks_total,Path-master solves that fell back to the arc model."`
 }
 
 // UnroutableError reports files whose destination is structurally
@@ -329,8 +310,8 @@ func solvePathStateless(tg *timegraph.Graph, ledger *netmodel.Ledger, files []ne
 }
 
 // solveArcFallback obtains the authoritative verdict from the arc model
-// after a path master terminated with positive artificials, folding the
-// path attempt's simplex work into the returned counters.
+// after a path master terminated with positive artificials, folding all of
+// the path attempt's LP work into the returned counters.
 func solveArcFallback(tg *timegraph.Graph, ledger *netmodel.Ledger, files []netmodel.File, reach []timegraph.Reachability, conf Config, pathRes *Result) (*Result, error) {
 	b := newBuilder(nil, tg, ledger, files, reach, conf)
 	if err := b.build(); err != nil {
@@ -344,10 +325,7 @@ func solveArcFallback(tg *timegraph.Graph, ledger *netmodel.Ledger, files []netm
 	}
 	res.WarmStarted = false
 	res.PathFallbacks = 1
-	res.Iterations += pathRes.Iterations
-	res.Phase1Iter += pathRes.Phase1Iter
-	res.ColGenRounds += pathRes.ColGenRounds
-	res.PathRecycled += pathRes.PathRecycled
+	telemetry.Add(&res.Work, pathRes.Work)
 	return res, nil
 }
 
@@ -369,27 +347,16 @@ func (b *builder) solve(opts *lp.Options) (*Result, *lp.Solution, error) {
 	}
 	res := &Result{
 		Status:         sol.Status,
-		Iterations:     sol.Iterations,
-		Phase1Iter:     sol.Phase1Iter,
 		Variables:      b.model.NumVariables(),
 		Constraints:    b.model.NumConstraints(),
 		WarmStarted:    sol.WarmStarted,
-		PresolveCols:   sol.PresolveCols,
-		PresolveRows:   sol.PresolveRows,
-		SparseSolves:   sol.SparseSolves,
-		DenseSolves:    sol.DenseSolves,
-		SolveNNZ:       sol.SolveNNZ,
-		SolveDim:       sol.SolveDim,
-		DevexResets:    sol.DevexResets,
-		DualRecomputes: sol.DualRecomputes,
 		BackendWorkers: 1,
-		VarUniverse:    b.varUniverse,
-		PrunedVars:     b.prunedVars,
-		PrunedRows:     b.prunedRows,
-		ColGenRounds:   sol.ColGenRounds,
-		ColGenColumns:  sol.ColGenColumns,
-		ColGenUniverse: sol.ColGenUniverse,
-		ColGenRows:     sol.ColGenRows,
+		Counters: Counters{
+			Work:        sol.Work,
+			VarUniverse: b.varUniverse,
+			PrunedVars:  b.prunedVars,
+			PrunedRows:  b.prunedRows,
+		},
 	}
 	if sol.Status != lp.Optimal {
 		return res, sol, nil

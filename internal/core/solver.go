@@ -3,146 +3,52 @@ package core
 import (
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
+	"github.com/interdc/postcard/internal/telemetry"
 	"github.com/interdc/postcard/internal/timegraph"
 )
 
 // SolveStats aggregates the LP work a Solver performed over its lifetime.
 // All counters are monotone; per-window figures are obtained by subtracting
-// two snapshots (see Sub).
+// two snapshots with telemetry.Sub, and totals by telemetry.Add. The metric
+// tags name the daemon's postcard_solver_* series.
 type SolveStats struct {
 	// Solves counts LP solves actually run (empty-demand slots, which short
 	// circuit without a model, are excluded).
-	Solves int
+	Solves int `metric:"solves_total,LP solves."`
 	// WarmSolves counts solves in which the simplex accepted the basis
 	// mapped over from the previous slot instead of cold-starting.
-	WarmSolves int
+	WarmSolves int `metric:"warm_solves_total,LP solves that accepted a mapped warm basis."`
 	// GraphReuses counts solves that recycled the cached time-expanded
 	// graph skeleton via Rebase instead of rebuilding it.
-	GraphReuses int
-	// Iterations and Phase1Iter total the simplex iterations across solves
-	// (Phase1Iter is the feasibility-restoration share of Iterations).
-	Iterations int
-	Phase1Iter int
-	// PresolveCols and PresolveRows total the LP columns and rows the
-	// presolve pass removed before the simplex ran.
-	PresolveCols int
-	PresolveRows int
-	// SparseSolves and DenseSolves total the basis triangular solves that
-	// took the hyper-sparse pattern path versus the dense fallback; SolveNNZ
-	// and SolveDim total their result-pattern sizes and basis dimensions, so
-	// the fleet-wide aggregate result density is SolveNNZ/SolveDim.
-	SparseSolves int
-	DenseSolves  int
-	SolveNNZ     int
-	SolveDim     int
-	// DevexResets and DualRecomputes total devex reference-framework
-	// restarts and full reduced-cost recomputations.
-	DevexResets    int
-	DualRecomputes int
-	// PathRecycled totals the path columns seeded into restricted masters
-	// because they were active in the previous slot's optimum (the warm
-	// solver's cross-slot column recycling; zero under PricingArc).
-	PathRecycled int
-	// VarUniverse totals the per-file column universes of the solved models;
-	// PrunedVars and PrunedRows total the variables and conservation rows
-	// deadline-reachability pruning removed before model assembly.
-	VarUniverse int
-	PrunedVars  int
-	PrunedRows  int
-	// ColGenRounds, ColGenColumns and ColGenUniverse total the delayed
-	// column-generation work: restricted-master solves, columns actually
-	// materialized, and the delayed universe priced implicitly.
-	ColGenRounds   int
-	ColGenColumns  int
-	ColGenUniverse int
-	// ColGenRows totals the rows generation lazily appended alongside its
-	// columns (path-master capacity/charge rows; zero under PricingArc).
-	ColGenRows int
-	// PathSolves counts solves that ran the Dantzig–Wolfe path master;
-	// PathFallbacks the subset whose master could not serve every file and
-	// deferred to an authoritative arc-model solve.
-	PathSolves    int
-	PathFallbacks int
-	// Admits, Rejects and Republishes count the admission fast tier's
-	// allocate-on-arrival decisions and background re-optimizations; they
-	// stay zero for pure LP schedulers. FastCost totals the provisional
-	// cost-per-slot increase of committed fast-tier batches and
-	// RepublishDelta the cost per slot the background re-optimizer shaved
-	// off them (see internal/admission).
-	Admits         int
-	Rejects        int
-	Republishes    int
-	FastCost       float64
-	RepublishDelta float64
+	GraphReuses int `metric:"graph_reuses_total,Time-expanded graphs recycled across slots."`
+	// Counters totals the per-solve work counters of every Result.
+	Counters
+	// PathSolves counts solves that ran the Dantzig–Wolfe path master
+	// (Counters.PathFallbacks the subset that deferred to the arc model).
+	PathSolves int `metric:"path_solves_total,Solves served by the Dantzig-Wolfe path master."`
+	// AdmissionStats stays zero for pure LP schedulers; the admission fast
+	// tier's simulation adapter folds its controller's counters in here so
+	// one surface reports both. The daemon exports them from admission.Stats
+	// instead, so /metrics skips them here.
+	AdmissionStats `metric:"-"`
 }
 
-// Add returns the element-wise sum of two stat snapshots.
-func (s SolveStats) Add(o SolveStats) SolveStats {
-	return SolveStats{
-		Solves:         s.Solves + o.Solves,
-		WarmSolves:     s.WarmSolves + o.WarmSolves,
-		GraphReuses:    s.GraphReuses + o.GraphReuses,
-		Iterations:     s.Iterations + o.Iterations,
-		Phase1Iter:     s.Phase1Iter + o.Phase1Iter,
-		PresolveCols:   s.PresolveCols + o.PresolveCols,
-		PresolveRows:   s.PresolveRows + o.PresolveRows,
-		SparseSolves:   s.SparseSolves + o.SparseSolves,
-		DenseSolves:    s.DenseSolves + o.DenseSolves,
-		SolveNNZ:       s.SolveNNZ + o.SolveNNZ,
-		SolveDim:       s.SolveDim + o.SolveDim,
-		DevexResets:    s.DevexResets + o.DevexResets,
-		DualRecomputes: s.DualRecomputes + o.DualRecomputes,
-		PathRecycled:   s.PathRecycled + o.PathRecycled,
-		VarUniverse:    s.VarUniverse + o.VarUniverse,
-		PrunedVars:     s.PrunedVars + o.PrunedVars,
-		PrunedRows:     s.PrunedRows + o.PrunedRows,
-		ColGenRounds:   s.ColGenRounds + o.ColGenRounds,
-		ColGenColumns:  s.ColGenColumns + o.ColGenColumns,
-		ColGenUniverse: s.ColGenUniverse + o.ColGenUniverse,
-		ColGenRows:     s.ColGenRows + o.ColGenRows,
-		PathSolves:     s.PathSolves + o.PathSolves,
-		PathFallbacks:  s.PathFallbacks + o.PathFallbacks,
-		Admits:         s.Admits + o.Admits,
-		Rejects:        s.Rejects + o.Rejects,
-		Republishes:    s.Republishes + o.Republishes,
-		FastCost:       s.FastCost + o.FastCost,
-		RepublishDelta: s.RepublishDelta + o.RepublishDelta,
-	}
-}
-
-// Sub returns the element-wise difference s - o, turning two cumulative
-// snapshots into the work performed between them.
-func (s SolveStats) Sub(o SolveStats) SolveStats {
-	return SolveStats{
-		Solves:         s.Solves - o.Solves,
-		WarmSolves:     s.WarmSolves - o.WarmSolves,
-		GraphReuses:    s.GraphReuses - o.GraphReuses,
-		Iterations:     s.Iterations - o.Iterations,
-		Phase1Iter:     s.Phase1Iter - o.Phase1Iter,
-		PresolveCols:   s.PresolveCols - o.PresolveCols,
-		PresolveRows:   s.PresolveRows - o.PresolveRows,
-		SparseSolves:   s.SparseSolves - o.SparseSolves,
-		DenseSolves:    s.DenseSolves - o.DenseSolves,
-		SolveNNZ:       s.SolveNNZ - o.SolveNNZ,
-		SolveDim:       s.SolveDim - o.SolveDim,
-		DevexResets:    s.DevexResets - o.DevexResets,
-		DualRecomputes: s.DualRecomputes - o.DualRecomputes,
-		PathRecycled:   s.PathRecycled - o.PathRecycled,
-		VarUniverse:    s.VarUniverse - o.VarUniverse,
-		PrunedVars:     s.PrunedVars - o.PrunedVars,
-		PrunedRows:     s.PrunedRows - o.PrunedRows,
-		ColGenRounds:   s.ColGenRounds - o.ColGenRounds,
-		ColGenColumns:  s.ColGenColumns - o.ColGenColumns,
-		ColGenUniverse: s.ColGenUniverse - o.ColGenUniverse,
-		ColGenRows:     s.ColGenRows - o.ColGenRows,
-		PathSolves:     s.PathSolves - o.PathSolves,
-		PathFallbacks:  s.PathFallbacks - o.PathFallbacks,
-		Admits:         s.Admits - o.Admits,
-		Rejects:        s.Rejects - o.Rejects,
-		Republishes:    s.Republishes - o.Republishes,
-		FastCost:       s.FastCost - o.FastCost,
-		RepublishDelta: s.RepublishDelta - o.RepublishDelta,
-	}
+// AdmissionStats counts the admission fast tier's cumulative work (it is
+// admission.Stats; it is declared here so SolveStats can embed it). Admits
+// and Rejects count fast-path decisions (a batch re-admitted after the
+// simulation engine sheds a file counts again — they measure decision
+// traffic, not unique files). Republishes counts batches the background
+// re-optimizer improved. FastCost totals the provisional cost-per-slot
+// increase of batches actually taken (republished batches contribute their
+// improved LP delta); RepublishDelta totals the cost per slot the
+// re-optimizer shaved off the fast tier's provisional plans. The metric tags
+// name the daemon's postcard_admission_* series.
+type AdmissionStats struct {
+	Admits         int     `metric:"admits_total,Fast-path admissions."`
+	Rejects        int     `metric:"rejects_total,Fast-path rejections."`
+	Republishes    int     `metric:"republishes_total,Batches improved by the LP republisher."`
+	FastCost       float64 `metric:"fast_cost_total,Provisional cost per slot committed by taken batches."`
+	RepublishDelta float64 `metric:"republish_delta_total,Cost per slot shaved off provisional plans by republishing."`
 }
 
 // Solver is the incremental counterpart of Solve for online slot-by-slot
@@ -315,7 +221,6 @@ func (s *Solver) solvePath(tg *timegraph.Graph, ledger *netmodel.Ledger, files [
 		return nil, err
 	}
 	res.WarmStarted = res.WarmStarted && snapshot
-	res.PathRecycled = recycled
 	if fallback {
 		res, err = solveArcFallback(tg, ledger, files, reach, s.conf, res)
 		if err != nil {
@@ -324,6 +229,7 @@ func (s *Solver) solvePath(tg *timegraph.Graph, ledger *netmodel.Ledger, files [
 	} else {
 		s.harvestPaths(pb, sol)
 	}
+	res.PathRecycled = recycled
 	s.record(res)
 	s.stats.PathSolves++
 	s.cache(t, sol, pb.colKeys, pb.rowKeys)
@@ -472,25 +378,7 @@ func (s *Solver) seedRetainedPaths(pb *pathBuilder) (int, error) {
 // record folds one solve's counters into the cumulative stats.
 func (s *Solver) record(res *Result) {
 	s.stats.Solves++
-	s.stats.Iterations += res.Iterations
-	s.stats.Phase1Iter += res.Phase1Iter
-	s.stats.PresolveCols += res.PresolveCols
-	s.stats.PresolveRows += res.PresolveRows
-	s.stats.SparseSolves += res.SparseSolves
-	s.stats.DenseSolves += res.DenseSolves
-	s.stats.SolveNNZ += res.SolveNNZ
-	s.stats.SolveDim += res.SolveDim
-	s.stats.DevexResets += res.DevexResets
-	s.stats.DualRecomputes += res.DualRecomputes
-	s.stats.PathRecycled += res.PathRecycled
-	s.stats.VarUniverse += res.VarUniverse
-	s.stats.PrunedVars += res.PrunedVars
-	s.stats.PrunedRows += res.PrunedRows
-	s.stats.ColGenRounds += res.ColGenRounds
-	s.stats.ColGenColumns += res.ColGenColumns
-	s.stats.ColGenUniverse += res.ColGenUniverse
-	s.stats.ColGenRows += res.ColGenRows
-	s.stats.PathFallbacks += res.PathFallbacks
+	telemetry.Add(&s.stats.Counters, res.Counters)
 	if res.WarmStarted {
 		s.stats.WarmSolves++
 	}

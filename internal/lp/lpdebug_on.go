@@ -85,7 +85,7 @@ func (s *simplex) debugCheckDuals(phase1 bool) {
 		}
 		fmt.Fprintf(os.Stderr,
 			"lpdebug: maintained reduced-cost drift %.3e at column %d (tol %.3e, phase1=%v, iter %d, %d etas)\n",
-			worst, worstJ, tol, phase1, s.iters, len(s.etas))
+			worst, worstJ, tol, phase1, s.work.Iterations, len(s.etas))
 		panic("lpdebug: maintained reduced costs drifted beyond tolerance")
 	}
 }

@@ -255,6 +255,55 @@ func (m *Model) AddColumn(lo, hi, obj float64, name string, cons []ConID, coef [
 	return v, nil
 }
 
+// Work holds the solver's work counters. It is the one declaration of each
+// LP counter: the simplex increments these fields directly, SolvePriced sums
+// them over its rounds with telemetry.Add, and every layer above embeds Work
+// instead of copying it field by field. The metric tag names the counter's
+// Prometheus series suffix and help text (see internal/telemetry).
+type Work struct {
+	// Iterations counts simplex iterations across both phases; Phase1Iter
+	// the share spent reaching feasibility.
+	Iterations int `metric:"iterations_total,Simplex iterations."`
+	Phase1Iter int `metric:"phase1_iterations_total,Phase-1 simplex iterations."`
+	// PresolveCols and PresolveRows count the variables and constraints the
+	// presolve pass removed before the simplex ran (zero without
+	// Options.Presolve).
+	PresolveCols int `metric:"presolve_cols_total,Columns removed by presolve."`
+	PresolveRows int `metric:"presolve_rows_total,Rows removed by presolve."`
+	// SparseSolves and DenseSolves count the basis triangular solves (FTRAN
+	// of entering columns, BTRAN of pivot-row unit vectors and phase-1 cost
+	// corrections, and right-hand-side solves) that took the hyper-sparse
+	// Gilbert-Peierls pattern path versus the dense substitution fallback.
+	SparseSolves int `metric:"sparse_solves_total,Sparse FTRAN/BTRAN basis solves."`
+	DenseSolves  int `metric:"dense_solves_total,Dense basis solves."`
+	// SolveNNZ totals the result-pattern sizes of those solves (a dense
+	// fallback counts the full basis dimension) and SolveDim totals the
+	// basis dimensions they ran against, so the aggregate result density is
+	// SolveNNZ/SolveDim. Both are integers — aggregation across solves,
+	// slots and runs is exact and order-independent.
+	SolveNNZ int `metric:"solve_nnz_total,Nonzeros across basis solve results."`
+	SolveDim int `metric:"solve_dim_total,Dimensions across basis solve results."`
+	// DevexResets counts resets of the devex reference framework (weights
+	// back to one), which happen whenever the reduced costs are recomputed
+	// from scratch: refactorizations, phase switches, and Bland episodes.
+	DevexResets int `metric:"devex_resets_total,Devex pricing reference resets."`
+	// DualRecomputes counts full recomputations of the maintained
+	// reduced-cost vector — the periodic honest recompute that bounds the
+	// drift of the incremental per-pivot updates.
+	DualRecomputes int `metric:"dual_recomputes_total,Full dual recomputations."`
+	// ColGenRounds, ColGenColumns, ColGenRows and ColGenUniverse are filled
+	// by SolvePriced (and thus SolveColGen): the number of restricted-master
+	// solves performed, the number of delayed columns materialized into the
+	// model, the number of rows the oracle created lazily alongside them
+	// (zero for fixed-row ColumnSource generation), and the size of the
+	// delayed universe that was priced implicitly. All zero for a plain
+	// Solve.
+	ColGenRounds   int `metric:"colgen_rounds_total,Delayed column generation rounds."`
+	ColGenColumns  int `metric:"colgen_columns_total,Columns materialized by delayed generation."`
+	ColGenRows     int `metric:"colgen_rows_total,Rows lazily appended alongside generated columns."`
+	ColGenUniverse int `metric:"colgen_universe_total,Delayed columns across generation-enabled solves."`
+}
+
 // Solution is the result of solving a Model.
 type Solution struct {
 	Status     Status
@@ -262,9 +311,6 @@ type Solution struct {
 	X          []float64 // primal values, one per variable
 	Dual       []float64 // dual values, one per constraint (minimization sign convention)
 	ReducedObj []float64 // reduced costs, one per variable (minimization sign convention)
-	Iterations int       // simplex iterations performed across both phases
-	Phase1Iter int       // iterations spent reaching feasibility
-	Factorized int       // number of basis refactorizations
 
 	// Basis is the final simplex resting state, suitable for seeding a
 	// subsequent solve via Options.InitialBasis. It is captured for every
@@ -276,45 +322,8 @@ type Solution struct {
 	// Options.InitialBasis (false when the snapshot was rejected and the
 	// solver fell back to a cold start).
 	WarmStarted bool
-	// PresolveCols and PresolveRows count the variables and constraints the
-	// presolve pass removed before the simplex ran (zero without
-	// Options.Presolve).
-	PresolveCols int
-	PresolveRows int
 
-	// SparseSolves and DenseSolves count the basis triangular solves (FTRAN
-	// of entering columns, BTRAN of pivot-row unit vectors and phase-1 cost
-	// corrections, and right-hand-side solves) that took the hyper-sparse
-	// Gilbert-Peierls pattern path versus the dense substitution fallback.
-	SparseSolves int
-	DenseSolves  int
-	// SolveNNZ totals the result-pattern sizes of those solves (a dense
-	// fallback counts the full basis dimension) and SolveDim totals the
-	// basis dimensions they ran against, so the aggregate result density is
-	// SolveNNZ/SolveDim. Both are integers — aggregation across solves,
-	// slots and runs is exact and order-independent.
-	SolveNNZ int
-	SolveDim int
-	// DevexResets counts resets of the devex reference framework (weights
-	// back to one), which happen whenever the reduced costs are recomputed
-	// from scratch: refactorizations, phase switches, and Bland episodes.
-	DevexResets int
-	// DualRecomputes counts full recomputations of the maintained
-	// reduced-cost vector — the periodic honest recompute that bounds the
-	// drift of the incremental per-pivot updates.
-	DualRecomputes int
-
-	// ColGenRounds, ColGenColumns, ColGenRows and ColGenUniverse are filled
-	// by SolvePriced (and thus SolveColGen): the number of restricted-master
-	// solves performed, the number of delayed columns materialized into the
-	// model, the number of rows the oracle created lazily alongside them
-	// (zero for fixed-row ColumnSource generation), and the size of the
-	// delayed universe that was priced implicitly. All zero for a plain
-	// Solve.
-	ColGenRounds   int
-	ColGenColumns  int
-	ColGenRows     int
-	ColGenUniverse int
+	Work
 }
 
 // Value reports the primal value of v.

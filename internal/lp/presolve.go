@@ -314,24 +314,15 @@ func (ps *presolved) postsolve(r *Solution) *Solution {
 	m := ps.orig
 	n, mr := len(m.obj), len(m.rows)
 	sol := &Solution{
-		Status:       r.Status,
-		X:            make([]float64, n),
-		Dual:         make([]float64, mr),
-		ReducedObj:   make([]float64, n),
-		Iterations:   r.Iterations,
-		Phase1Iter:   r.Phase1Iter,
-		Factorized:   r.Factorized,
-		WarmStarted:  r.WarmStarted,
-		PresolveCols: n - len(ps.keptCols),
-		PresolveRows: mr - len(ps.keptRows),
-
-		SparseSolves:   r.SparseSolves,
-		DenseSolves:    r.DenseSolves,
-		SolveNNZ:       r.SolveNNZ,
-		SolveDim:       r.SolveDim,
-		DevexResets:    r.DevexResets,
-		DualRecomputes: r.DualRecomputes,
+		Status:      r.Status,
+		X:           make([]float64, n),
+		Dual:        make([]float64, mr),
+		ReducedObj:  make([]float64, n),
+		WarmStarted: r.WarmStarted,
+		Work:        r.Work,
 	}
+	sol.PresolveCols = n - len(ps.keptCols)
+	sol.PresolveRows = mr - len(ps.keptRows)
 	if r.Basis != nil {
 		sol.Basis = ps.mapBasisOut(r.Basis)
 	}
@@ -415,12 +406,11 @@ func (m *Model) solvePresolved(opts *Options) (*Solution, error) {
 	n, mr := len(m.obj), len(m.rows)
 	if ps.infeasible {
 		return &Solution{
-			Status:       Infeasible,
-			X:            make([]float64, n),
-			Dual:         make([]float64, mr),
-			ReducedObj:   make([]float64, n),
-			PresolveCols: n,
-			PresolveRows: mr,
+			Status:     Infeasible,
+			X:          make([]float64, n),
+			Dual:       make([]float64, mr),
+			ReducedObj: make([]float64, n),
+			Work:       Work{PresolveCols: n, PresolveRows: mr},
 		}, nil
 	}
 	ropts := *opts

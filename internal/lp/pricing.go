@@ -1,5 +1,7 @@
 package lp
 
+import "github.com/interdc/postcard/internal/telemetry"
+
 // PricingOracle is the generalized delayed-generation contract behind
 // SolvePriced. Where ColumnSource enumerates a dense candidate universe and
 // materializes one 4-row arc column at a time, a PricingOracle owns the
@@ -82,30 +84,17 @@ func SolvePriced(m *Model, oracle PricingOracle, opts *Options) (*Solution, erro
 		cur = *opts
 	}
 	cur.Presolve = false
-	acc := struct {
-		iterations, phase1, factorized      int
-		sparseSolves, denseSolves, nnz, dim int
-		devexResets, dualRecomputes         int
-		rounds, cols, rows                  int
-		warmStarted                         bool
-	}{}
+	var work Work
+	warmStarted := false
 	for {
 		sol, err := m.Solve(&cur)
 		if err != nil {
 			return nil, err
 		}
-		acc.rounds++
-		acc.iterations += sol.Iterations
-		acc.phase1 += sol.Phase1Iter
-		acc.factorized += sol.Factorized
-		acc.sparseSolves += sol.SparseSolves
-		acc.denseSolves += sol.DenseSolves
-		acc.nnz += sol.SolveNNZ
-		acc.dim += sol.SolveDim
-		acc.devexResets += sol.DevexResets
-		acc.dualRecomputes += sol.DualRecomputes
-		if acc.rounds == 1 {
-			acc.warmStarted = sol.WarmStarted
+		telemetry.Add(&work, sol.Work)
+		work.ColGenRounds++
+		if work.ColGenRounds == 1 {
+			warmStarted = sol.WarmStarted
 		}
 		done := false
 		switch sol.Status {
@@ -118,8 +107,8 @@ func SolvePriced(m *Model, oracle PricingOracle, opts *Options) (*Solution, erro
 				done = true
 				break
 			}
-			acc.cols += cols
-			acc.rows += rows
+			work.ColGenColumns += cols
+			work.ColGenRows += rows
 			cur.InitialBasis = extendBasis(sol.Basis, cols, rows)
 		case Infeasible:
 			cols, rows, ok, err := oracle.MaterializeRest(m)
@@ -130,27 +119,16 @@ func SolvePriced(m *Model, oracle PricingOracle, opts *Options) (*Solution, erro
 				done = true
 				break
 			}
-			acc.cols += cols
-			acc.rows += rows
+			work.ColGenColumns += cols
+			work.ColGenRows += rows
 			cur.InitialBasis = extendBasis(sol.Basis, cols, rows)
 		default:
 			done = true
 		}
 		if done {
-			sol.Iterations = acc.iterations
-			sol.Phase1Iter = acc.phase1
-			sol.Factorized = acc.factorized
-			sol.SparseSolves = acc.sparseSolves
-			sol.DenseSolves = acc.denseSolves
-			sol.SolveNNZ = acc.nnz
-			sol.SolveDim = acc.dim
-			sol.DevexResets = acc.devexResets
-			sol.DualRecomputes = acc.dualRecomputes
-			sol.WarmStarted = acc.warmStarted
-			sol.ColGenRounds = acc.rounds
-			sol.ColGenColumns = acc.cols
-			sol.ColGenRows = acc.rows
-			sol.ColGenUniverse = universe
+			work.ColGenUniverse = universe
+			sol.Work = work
+			sol.WarmStarted = warmStarted
 			return sol, nil
 		}
 	}

@@ -173,9 +173,6 @@ type simplex struct {
 
 	useDevex bool
 
-	iters       int
-	phase1Iters int
-	factorCount int
 	warmStarted bool
 	perturbOff  bool // cost perturbation has been stripped mid-solve
 	bland       bool
@@ -183,13 +180,7 @@ type simplex struct {
 	goodSteps   int // consecutive non-degenerate steps while in Bland mode
 	pricePos    int // rotating cursor for partial pricing
 
-	// hyper-sparse instrumentation
-	sparseSolves int
-	denseSolves  int
-	solveNNZ     int
-	solveDim     int
-	devexResets  int
-	dRecomputes  int
+	work Work
 }
 
 // newSimplex allocates all solver state for the computational form. Every
@@ -287,7 +278,6 @@ func (s *simplex) refactorize() error {
 	s.etas = s.etas[:0]
 	s.etaIdx = s.etaIdx[:0]
 	s.etaVal = s.etaVal[:0]
-	s.factorCount++
 	s.dValid = false
 	if len(lu.Repairs()) > 0 {
 		s.devexStale = true // repairs changed the basis discontinuously
@@ -335,13 +325,13 @@ func (s *simplex) computeXB() {
 // full basis dimension.
 func (s *simplex) noteSolve(ok bool, n int) {
 	if ok {
-		s.sparseSolves++
-		s.solveNNZ += n
+		s.work.SparseSolves++
+		s.work.SolveNNZ += n
 	} else {
-		s.denseSolves++
-		s.solveNNZ += s.cf.m
+		s.work.DenseSolves++
+		s.work.SolveNNZ += s.cf.m
 	}
-	s.solveDim += s.cf.m
+	s.work.SolveDim += s.cf.m
 }
 
 // ftran computes w = B⁻¹ a_q for structural-or-logical column q, leaving the
@@ -619,7 +609,7 @@ func (s *simplex) resetDevexWeights() {
 		s.devexW[j] = 1
 	}
 	s.devexStale = false
-	s.devexResets++
+	s.work.DevexResets++
 }
 
 // recomputeD rebuilds the maintained reduced costs d_j = c_j − y·a_j for
@@ -647,7 +637,7 @@ func (s *simplex) recomputeD(phase1 bool) {
 		s.d[j] = s.reducedCost(j, cj)
 	}
 	s.dValid, s.dPhase1 = true, phase1
-	s.dRecomputes++
+	s.work.DualRecomputes++
 }
 
 // priceDevex selects the entering variable by devex pricing over the
@@ -1309,7 +1299,7 @@ func (s *simplex) runPhase1() (Status, bool, error) {
 	exitTol := s.opt.FeasTol * float64(1+s.cf.m)
 	confirmed := false
 	for {
-		if s.iters >= s.opt.MaxIterations {
+		if s.work.Iterations >= s.opt.MaxIterations {
 			return IterLimit, true, nil
 		}
 		if s.infeasibility() <= exitTol {
@@ -1360,8 +1350,8 @@ func (s *simplex) runPhase1() (Status, bool, error) {
 				return 0, true, err
 			}
 			s.noteStep(res.t)
-			s.iters++
-			s.phase1Iters++
+			s.work.Iterations++
+			s.work.Phase1Iter++
 			continue
 		}
 		// Legacy path: Bland anti-cycling and Dantzig pricing recompute the
@@ -1396,8 +1386,8 @@ func (s *simplex) runPhase1() (Status, bool, error) {
 		s.dValid = false // pivoted without maintaining d
 		s.clearW()
 		s.noteStep(res.t)
-		s.iters++
-		s.phase1Iters++
+		s.work.Iterations++
+		s.work.Phase1Iter++
 	}
 	s.bland, s.stallCount, s.goodSteps = false, 0, 0
 	return 0, false, nil
@@ -1413,10 +1403,10 @@ func (s *simplex) runPhase2() (Status, bool, error) {
 	confirmed := false
 	unboundConfirmed := false
 	for {
-		if s.iters >= s.opt.MaxIterations {
+		if s.work.Iterations >= s.opt.MaxIterations {
 			return IterLimit, true, nil
 		}
-		if s.iters%16 == 0 && s.infeasibility() > driftLimit {
+		if s.work.Iterations%16 == 0 && s.infeasibility() > driftLimit {
 			if err := s.refactorize(); err != nil {
 				return 0, true, err
 			}
@@ -1465,7 +1455,7 @@ func (s *simplex) runPhase2() (Status, bool, error) {
 				return 0, true, err
 			}
 			s.noteStep(res.t)
-			s.iters++
+			s.work.Iterations++
 			continue
 		}
 		// Legacy path (Bland or Dantzig pricing).
@@ -1492,28 +1482,20 @@ func (s *simplex) runPhase2() (Status, bool, error) {
 		s.dValid = false // pivoted without maintaining d
 		s.clearW()
 		s.noteStep(res.t)
-		s.iters++
+		s.work.Iterations++
 	}
 }
 
 // solution extracts a Solution in the original model's terms.
 func (s *simplex) solution(m *Model, status Status) *Solution {
 	sol := &Solution{
-		Status:         status,
-		X:              make([]float64, s.cf.n),
-		Dual:           make([]float64, s.cf.m),
-		ReducedObj:     make([]float64, s.cf.n),
-		Iterations:     s.iters,
-		Phase1Iter:     s.phase1Iters,
-		Factorized:     s.factorCount,
-		Basis:          s.captureBasis(),
-		WarmStarted:    s.warmStarted,
-		SparseSolves:   s.sparseSolves,
-		DenseSolves:    s.denseSolves,
-		SolveNNZ:       s.solveNNZ,
-		SolveDim:       s.solveDim,
-		DevexResets:    s.devexResets,
-		DualRecomputes: s.dRecomputes,
+		Status:      status,
+		X:           make([]float64, s.cf.n),
+		Dual:        make([]float64, s.cf.m),
+		ReducedObj:  make([]float64, s.cf.n),
+		Basis:       s.captureBasis(),
+		WarmStarted: s.warmStarted,
+		Work:        s.work,
 	}
 	if status != Optimal && status != IterLimit {
 		return sol

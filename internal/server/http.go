@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
+
+	"github.com/interdc/postcard/internal/telemetry"
 )
 
 // Handler returns the daemon's HTTP mux:
@@ -45,6 +48,17 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // maxTransferBody bounds the POST /v1/transfers body; a TransferRequest is
 // five numbers.
 const maxTransferBody = 1 << 20
+
+// maxHorizon bounds how far ahead of the current slot a transfer may end:
+// its release offset plus its deadline, in slots. The fast tier's path
+// search, link estimates and reservation view work and allocate in
+// proportion to that span under the admit lock, and the batch LP's
+// time-expanded graph is that many layers deep; its solve time grows much
+// faster than the span (one file on 4 DCs, warm solver, one core of a
+// 2-vCPU x86-64 VM: 1 ms at 8 slots, 38 ms at 64, 3 s at 256).
+// Server.Admit refuses anything longer. 64 slots is eight times the
+// longest deadline the paper's evaluation draws.
+const maxHorizon = 64
 
 func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 	var req TransferRequest
@@ -130,9 +144,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics renders every admission and solver counter, plus the
-// server gauges, in Prometheus text exposition format. The counter set
-// mirrors core.SolveStats and admission.Stats field for field, so a
-// scrape diffed against a postcard-fast simulation run compares exactly.
+// server gauges, in Prometheus text exposition format. The counter series
+// come from the metric tags of admission.Stats and core.SolveStats (see
+// internal/telemetry), so a scrape diffed against a postcard-fast
+// simulation run compares exactly.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	st := s.statusLocked()
@@ -145,6 +160,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, v)
 	}
+	counters := func(prefix string, v any) {
+		telemetry.Walk(v, func(f reflect.StructField, x float64) {
+			name, help, _ := strings.Cut(f.Tag.Get("metric"), ",")
+			counter(prefix+name, help, x)
+		})
+	}
 
 	gauge("postcard_slot", "Current admission slot.", float64(st.Slot))
 	gauge("postcard_cost_per_slot", "Committed ledger cost per charging interval.", st.CostPerSlot)
@@ -153,38 +174,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("postcard_plans", "Plan records retained (provisional plus committed).", float64(st.Plans))
 	counter("postcard_slots_advanced_total", "Slot batches committed.", float64(st.SlotsAdvanced))
 	counter("postcard_pricing_reloads_total", "Pricing reloads applied.", float64(st.Reloads))
-
-	a := st.Admission
-	counter("postcard_admission_admits_total", "Fast-path admissions.", float64(a.Admits))
-	counter("postcard_admission_rejects_total", "Fast-path rejections.", float64(a.Rejects))
-	counter("postcard_admission_republishes_total", "Batches improved by the LP republisher.", float64(a.Republishes))
-	counter("postcard_admission_fast_cost_total", "Provisional cost per slot committed by taken batches.", a.FastCost)
-	counter("postcard_admission_republish_delta_total", "Cost per slot shaved off provisional plans by republishing.", a.RepublishDelta)
-
-	v := st.Solver
-	counter("postcard_solver_solves_total", "LP solves.", float64(v.Solves))
-	counter("postcard_solver_warm_solves_total", "LP solves that accepted a mapped warm basis.", float64(v.WarmSolves))
-	counter("postcard_solver_graph_reuses_total", "Time-expanded graphs recycled across slots.", float64(v.GraphReuses))
-	counter("postcard_solver_iterations_total", "Simplex iterations.", float64(v.Iterations))
-	counter("postcard_solver_phase1_iterations_total", "Phase-1 simplex iterations.", float64(v.Phase1Iter))
-	counter("postcard_solver_presolve_cols_total", "Columns removed by presolve.", float64(v.PresolveCols))
-	counter("postcard_solver_presolve_rows_total", "Rows removed by presolve.", float64(v.PresolveRows))
-	counter("postcard_solver_sparse_solves_total", "Sparse FTRAN/BTRAN basis solves.", float64(v.SparseSolves))
-	counter("postcard_solver_dense_solves_total", "Dense basis solves.", float64(v.DenseSolves))
-	counter("postcard_solver_solve_nnz_total", "Nonzeros across basis solve results.", float64(v.SolveNNZ))
-	counter("postcard_solver_solve_dim_total", "Dimensions across basis solve results.", float64(v.SolveDim))
-	counter("postcard_solver_devex_resets_total", "Devex pricing reference resets.", float64(v.DevexResets))
-	counter("postcard_solver_dual_recomputes_total", "Full dual recomputations.", float64(v.DualRecomputes))
-	counter("postcard_solver_var_universe_total", "Variables in the pre-pruning universes.", float64(v.VarUniverse))
-	counter("postcard_solver_pruned_vars_total", "Variables removed by deadline-reachability pruning.", float64(v.PrunedVars))
-	counter("postcard_solver_pruned_rows_total", "Rows removed by deadline-reachability pruning.", float64(v.PrunedRows))
-	counter("postcard_solver_colgen_rounds_total", "Delayed column generation rounds.", float64(v.ColGenRounds))
-	counter("postcard_solver_colgen_columns_total", "Columns materialized by delayed generation.", float64(v.ColGenColumns))
-	counter("postcard_solver_colgen_universe_total", "Delayed columns across generation-enabled solves.", float64(v.ColGenUniverse))
-	counter("postcard_solver_colgen_rows_total", "Rows lazily appended alongside generated columns.", float64(v.ColGenRows))
-	counter("postcard_solver_path_solves_total", "Solves served by the Dantzig-Wolfe path master.", float64(v.PathSolves))
-	counter("postcard_solver_path_fallbacks_total", "Path-master solves that fell back to the arc model.", float64(v.PathFallbacks))
-	counter("postcard_solver_path_recycled_total", "Path columns recycled from earlier slots' optimal bases.", float64(v.PathRecycled))
+	counters("postcard_admission_", &st.Admission)
+	counters("postcard_solver_", &st.Solver)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(b.String()))

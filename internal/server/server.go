@@ -237,6 +237,12 @@ func (s *Server) Admit(req TransferRequest) (*TransferResponse, error) {
 	if err := f.Validate(s.nw); err != nil {
 		return nil, err
 	}
+	// release was clamped to s.slot above and Validate guarantees
+	// Deadline >= 1, so neither side of the comparison overflows.
+	if release-s.slot > maxHorizon-f.Deadline {
+		return nil, fmt.Errorf("server: transfer ends %d slots past release %d, beyond the %d-slot horizon from slot %d",
+			f.Deadline, release, maxHorizon, s.slot)
+	}
 	dec, err := s.ctrl.Admit(f, s.slot)
 	if err != nil {
 		return nil, err

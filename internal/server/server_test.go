@@ -12,8 +12,10 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/interdc/postcard/internal/core"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/sim"
+	"github.com/interdc/postcard/internal/telemetry"
 	"github.com/interdc/postcard/internal/workload"
 )
 
@@ -228,6 +230,7 @@ func TestServerMetrics(t *testing.T) {
 	}
 	body := buf.String()
 	metrics := map[string]float64{}
+	series := map[string]int{}
 	for _, line := range strings.Split(body, "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -238,16 +241,42 @@ func TestServerMetrics(t *testing.T) {
 			t.Fatalf("unparseable metrics line %q: %v", line, err)
 		}
 		metrics[name] = v
+		series[name]++
 	}
+	// Every counter of the status is exported exactly once, under the name
+	// its metric tag declares and with its value; a counter without a tag,
+	// or two counters sharing a name, fail here.
 	st := s.Status()
 	want := map[string]float64{
-		"postcard_slot":                      float64(st.Slot),
-		"postcard_admission_admits_total":    float64(st.Admission.Admits),
-		"postcard_admission_rejects_total":   float64(st.Admission.Rejects),
-		"postcard_cost_per_slot":             st.CostPerSlot,
-		"postcard_slots_advanced_total":      float64(st.SlotsAdvanced),
-		"postcard_solver_solves_total":       float64(st.Solver.Solves),
-		"postcard_admission_fast_cost_total": st.Admission.FastCost,
+		"postcard_slot":                  float64(st.Slot),
+		"postcard_cost_per_slot":         st.CostPerSlot,
+		"postcard_total_cost":            st.TotalCost,
+		"postcard_pending_files":         float64(st.PendingFiles),
+		"postcard_plans":                 float64(st.Plans),
+		"postcard_slots_advanced_total":  float64(st.SlotsAdvanced),
+		"postcard_pricing_reloads_total": float64(st.Reloads),
+	}
+	expect := func(prefix string, v any) {
+		telemetry.Walk(v, func(f reflect.StructField, x float64) {
+			suffix, _, _ := strings.Cut(f.Tag.Get("metric"), ",")
+			if suffix == "" {
+				t.Errorf("counter %s has no metric tag", f.Name)
+				return
+			}
+			if _, dup := want[prefix+suffix]; dup {
+				t.Errorf("counter %s reuses series %s", f.Name, prefix+suffix)
+			}
+			want[prefix+suffix] = x
+		})
+	}
+	expect("postcard_admission_", &st.Admission)
+	expect("postcard_solver_", &st.Solver)
+	for name, n := range series {
+		if _, ok := want[name]; !ok {
+			t.Errorf("unexpected series %s", name)
+		} else if n != 1 {
+			t.Errorf("series %s exported %d times", name, n)
+		}
 	}
 	for name, v := range want {
 		got, ok := metrics[name]
@@ -331,19 +360,15 @@ func TestServerSmoke(t *testing.T) {
 	}
 
 	st := s.Status()
-	refSv := ref.Solver
-	if st.Admission.Admits != refSv.Admits || st.Admission.Rejects != refSv.Rejects ||
-		st.Admission.Republishes != refSv.Republishes {
-		t.Errorf("admission counters: server %+v, reference admits=%d rejects=%d republishes=%d",
-			st.Admission, refSv.Admits, refSv.Rejects, refSv.Republishes)
+	if st.Admission != ref.Solver.AdmissionStats {
+		t.Errorf("admission counters: server %+v, reference %+v", st.Admission, ref.Solver.AdmissionStats)
 	}
-	if st.Admission.FastCost != refSv.FastCost || st.Admission.RepublishDelta != refSv.RepublishDelta {
-		t.Errorf("cost counters: server fast=%v delta=%v, reference fast=%v delta=%v",
-			st.Admission.FastCost, st.Admission.RepublishDelta, refSv.FastCost, refSv.RepublishDelta)
-	}
-	if st.Solver.Solves != refSv.Solves || st.Solver.Iterations != refSv.Iterations {
-		t.Errorf("solver counters: server solves=%d iter=%d, reference solves=%d iter=%d",
-			st.Solver.Solves, st.Solver.Iterations, refSv.Solves, refSv.Iterations)
+	// The daemon reports the admission counters under st.Admission; every
+	// other solver counter must match the sequential run exactly.
+	want := ref.Solver
+	want.AdmissionStats = core.AdmissionStats{}
+	if st.Solver != want {
+		t.Errorf("solver counters:\nserver    %+v\nreference %+v", st.Solver, want)
 	}
 	if st.CostPerSlot != ref.FinalCostPerSlot {
 		t.Errorf("final cost per slot: server %v, reference %v", st.CostPerSlot, ref.FinalCostPerSlot)

@@ -7,6 +7,7 @@ import (
 
 	"github.com/interdc/postcard/internal/core"
 	"github.com/interdc/postcard/internal/netmodel"
+	"github.com/interdc/postcard/internal/telemetry"
 	"github.com/interdc/postcard/internal/workload"
 )
 
@@ -100,7 +101,8 @@ func Run(ledger *netmodel.Ledger, sched Scheduler, gen workload.Generator, slots
 	}
 	stats.Elapsed = time.Since(start)
 	if hasReporter {
-		stats.Solver = reporter.SolverStats().Sub(solverBase)
+		stats.Solver = reporter.SolverStats()
+		telemetry.Sub(&stats.Solver, solverBase)
 	}
 	if n := len(stats.CostSeries); n > 0 {
 		stats.FinalCostPerSlot = stats.CostSeries[n-1]

@@ -10,6 +10,7 @@ import (
 	"github.com/interdc/postcard/internal/core"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/stats"
+	"github.com/interdc/postcard/internal/telemetry"
 	"github.com/interdc/postcard/internal/workload"
 )
 
@@ -341,7 +342,7 @@ func RunFigure(cfg FigureConfig) (*FigureResult, error) {
 			aggs[si].dropped += rs.DroppedFiles
 			aggs[si].dropVol += rs.DroppedVolume
 			aggs[si].elapsed += rs.Elapsed
-			aggs[si].solver = aggs[si].solver.Add(rs.Solver)
+			telemetry.Add(&aggs[si].solver, rs.Solver)
 		}
 	}
 	res := &FigureResult{Setting: cfg.Setting, Scale: cfg.Scale}

@@ -7,6 +7,7 @@ import (
 	"github.com/interdc/postcard/internal/core"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/schedule"
+	"github.com/interdc/postcard/internal/telemetry"
 )
 
 // Fast is the Scheduler adapter for the two-tier admission scheduler: each
@@ -67,12 +68,7 @@ func (p *Fast) CloneScheduler() Scheduler {
 // into one SolveStats.
 func (p *Fast) ctrlStats() core.SolveStats {
 	st := p.ctrl.SolverStats()
-	adm := p.ctrl.Stats()
-	st.Admits = adm.Admits
-	st.Rejects = adm.Rejects
-	st.Republishes = adm.Republishes
-	st.FastCost = adm.FastCost
-	st.RepublishDelta = adm.RepublishDelta
+	st.AdmissionStats = p.ctrl.Stats()
 	return st
 }
 
@@ -84,7 +80,7 @@ func (p *Fast) ctrlStats() core.SolveStats {
 func (p *Fast) Schedule(ledger *netmodel.Ledger, files []netmodel.File, slot int) (*schedule.Schedule, error) {
 	if p.ctrl == nil || p.ledger != ledger {
 		if p.ctrl != nil {
-			p.base = p.base.Add(p.ctrlStats())
+			telemetry.Add(&p.base, p.ctrlStats())
 		}
 		ctrl, err := admission.NewController(ledger, p.Config)
 		if err != nil {
@@ -122,8 +118,9 @@ func (p *Fast) Schedule(ledger *netmodel.Ledger, files []netmodel.File, slot int
 // background re-optimizer's LP work, through the same surface the LP
 // schedulers report on.
 func (p *Fast) SolverStats() core.SolveStats {
-	if p.ctrl == nil {
-		return p.base
+	st := p.base
+	if p.ctrl != nil {
+		telemetry.Add(&st, p.ctrlStats())
 	}
-	return p.base.Add(p.ctrlStats())
+	return st
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/interdc/postcard/internal/core"
+	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/stats"
 )
@@ -157,9 +158,11 @@ func goldenFastResult() *FigureResult {
 		Elapsed:      345 * time.Millisecond,
 		Solver: core.SolveStats{
 			Solves: 14, WarmSolves: 11, GraphReuses: 11,
-			Iterations: 3980, Phase1Iter: 290,
-			Admits: 151, Rejects: 3, Republishes: 14,
-			FastCost: 6315.25, RepublishDelta: 8412.5,
+			Counters: core.Counters{Work: lp.Work{Iterations: 3980, Phase1Iter: 290}},
+			AdmissionStats: core.AdmissionStats{
+				Admits: 151, Rejects: 3, Republishes: 14,
+				FastCost: 6315.25, RepublishDelta: 8412.5,
+			},
 		},
 	})
 	return r

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/interdc/postcard/internal/core"
+	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/stats"
 )
@@ -42,13 +43,17 @@ func goldenResult() *FigureResult {
 				Elapsed:       1234 * time.Millisecond,
 				Solver: core.SolveStats{
 					Solves: 15, WarmSolves: 12, GraphReuses: 12,
-					Iterations: 4210, Phase1Iter: 380,
-					PresolveCols: 96, PresolveRows: 64,
-					SparseSolves: 900, DenseSolves: 300,
-					SolveNNZ: 2400, SolveDim: 9600,
-					DevexResets: 21, DualRecomputes: 154,
-					VarUniverse: 7200, PrunedVars: 1800, PrunedRows: 450,
-					ColGenRounds: 38, ColGenColumns: 960, ColGenUniverse: 5400,
+					Counters: core.Counters{
+						Work: lp.Work{
+							Iterations: 4210, Phase1Iter: 380,
+							PresolveCols: 96, PresolveRows: 64,
+							SparseSolves: 900, DenseSolves: 300,
+							SolveNNZ: 2400, SolveDim: 9600,
+							DevexResets: 21, DualRecomputes: 154,
+							ColGenRounds: 38, ColGenColumns: 960, ColGenUniverse: 5400,
+						},
+						VarUniverse: 7200, PrunedVars: 1800, PrunedRows: 450,
+					},
 				},
 			},
 			{

@@ -168,14 +168,19 @@ func goldenDC64Result() *FigureResult {
 				Elapsed:    2718 * time.Millisecond,
 				Solver: core.SolveStats{
 					Solves: 4, WarmSolves: 3, GraphReuses: 3,
-					Iterations: 1840, Phase1Iter: 0,
-					SparseSolves: 410, DenseSolves: 95,
-					SolveNNZ: 5100, SolveDim: 20400,
-					DevexResets: 6, DualRecomputes: 58,
-					VarUniverse: 290304, PrunedVars: 96768,
-					ColGenRounds: 19, ColGenColumns: 87, ColGenRows: 203,
-					ColGenUniverse: 290304,
-					PathSolves:     4, PathFallbacks: 0, PathRecycled: 12,
+					Counters: core.Counters{
+						Work: lp.Work{
+							Iterations: 1840, Phase1Iter: 0,
+							SparseSolves: 410, DenseSolves: 95,
+							SolveNNZ: 5100, SolveDim: 20400,
+							DevexResets: 6, DualRecomputes: 58,
+							ColGenRounds: 19, ColGenColumns: 87, ColGenRows: 203,
+							ColGenUniverse: 290304,
+						},
+						VarUniverse: 290304, PrunedVars: 96768,
+						PathFallbacks: 0, PathRecycled: 12,
+					},
+					PathSolves: 4,
 				},
 			},
 		},

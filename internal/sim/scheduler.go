@@ -16,6 +16,7 @@ import (
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/schedule"
+	"github.com/interdc/postcard/internal/telemetry"
 )
 
 // ErrInfeasible marks demand that cannot be scheduled under the residual
@@ -120,25 +121,7 @@ func (p *Postcard) Schedule(ledger *netmodel.Ledger, files []netmodel.File, slot
 		res, err = core.Solve(ledger, files, slot, p.Config)
 		if err == nil && len(files) > 0 {
 			p.stats.Solves++
-			p.stats.Iterations += res.Iterations
-			p.stats.Phase1Iter += res.Phase1Iter
-			p.stats.PresolveCols += res.PresolveCols
-			p.stats.PresolveRows += res.PresolveRows
-			p.stats.SparseSolves += res.SparseSolves
-			p.stats.DenseSolves += res.DenseSolves
-			p.stats.SolveNNZ += res.SolveNNZ
-			p.stats.SolveDim += res.SolveDim
-			p.stats.DevexResets += res.DevexResets
-			p.stats.DualRecomputes += res.DualRecomputes
-			p.stats.VarUniverse += res.VarUniverse
-			p.stats.PrunedVars += res.PrunedVars
-			p.stats.PrunedRows += res.PrunedRows
-			p.stats.ColGenRounds += res.ColGenRounds
-			p.stats.ColGenColumns += res.ColGenColumns
-			p.stats.ColGenRows += res.ColGenRows
-			p.stats.ColGenUniverse += res.ColGenUniverse
-			p.stats.PathFallbacks += res.PathFallbacks
-			p.stats.PathRecycled += res.PathRecycled
+			telemetry.Add(&p.stats.Counters, res.Counters)
 			if p.Config != nil && p.Config.Pricing == core.PricingPath {
 				p.stats.PathSolves++
 			}

@@ -8,6 +8,7 @@ import (
 	"github.com/interdc/postcard/internal/core"
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
+	"github.com/interdc/postcard/internal/telemetry"
 	"github.com/interdc/postcard/internal/workload"
 )
 
@@ -177,7 +178,8 @@ func TestRunStatsSolverDelta(t *testing.T) {
 	if runs[0].Solver.Solves == 0 || runs[1].Solver.Solves == 0 {
 		t.Fatalf("runs reported no solver work: %+v, %+v", runs[0].Solver, runs[1].Solver)
 	}
-	sum := runs[0].Solver.Add(runs[1].Solver)
+	sum := runs[0].Solver
+	telemetry.Add(&sum, runs[1].Solver)
 	if got := sched.SolverStats(); got != sum {
 		t.Errorf("per-run deltas do not sum to the cumulative counters:\nsum        %+v\ncumulative %+v", sum, got)
 	}

@@ -102,8 +102,9 @@ type (
 	// UnroutableError reports structurally undeliverable files.
 	UnroutableError = core.UnroutableError
 	// IncrementalSolver is the warm-started slot-by-slot counterpart of
-	// Solve: consecutive solves reuse the time-expanded graph skeleton and
-	// warm-start each LP from the previous slot's basis. See core.Solver.
+	// Solve that backs New(WithWarmStart()): consecutive solves reuse the
+	// time-expanded graph skeleton and warm-start each LP from the previous
+	// slot's basis. See core.Solver.
 	IncrementalSolver = core.Solver
 	// SolveStats aggregates the LP work an IncrementalSolver performed.
 	SolveStats = core.SolveStats
@@ -312,12 +313,6 @@ func NewLedger(nw *Network, scheme Charging) (*Ledger, error) {
 func Solve(ledger *Ledger, files []File, t int, cfg *Config) (*Result, error) {
 	return core.Solve(ledger, files, t, cfg)
 }
-
-// NewIncrementalSolver creates a warm-started slot-by-slot solver whose
-// consecutive Solve calls reuse the previous slot's time-expanded graph and
-// simplex basis. Results match the stateless Solve on every input (same
-// optimal objective, possibly a different vertex of the optimal face).
-func NewIncrementalSolver(cfg *Config) *IncrementalSolver { return core.NewSolver(cfg) }
 
 // FlowSolve runs the optimal flow-based baseline (single LP).
 func FlowSolve(ledger *Ledger, files []File, t int, cfg *FlowConfig) (*FlowResult, error) {
