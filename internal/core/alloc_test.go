@@ -54,3 +54,32 @@ func TestPrepareRecycledAllocs(t *testing.T) {
 		t.Fatalf("recycled prepare allocates %.0f times per slot, want <= %d", allocs, budget)
 	}
 }
+
+// TestPathSolverSlotAllocs is the per-slot allocation pin for the path
+// solver: a warm Solver slot under PricingPath — basis mapping, path master
+// build, every pricing round's restricted-master re-solve, and plan
+// extraction — must stay within a measured budget. The LP rounds assemble,
+// factorize and iterate in the master Model's retained workspace; what
+// remains is each round's returned Solution, the oracle's path searches and
+// lazily created rows, and the Result with its schedule.
+func TestPathSolverSlotAllocs(t *testing.T) {
+	ledger, _ := pathTestInstance(t, 6, 50, 23)
+	solver := NewSolver(&Config{Pricing: PricingPath})
+	var files []netmodel.File
+	for k, p := range []netmodel.Link{{From: 0, To: 3}, {From: 1, To: 4}, {From: 5, To: 2}} {
+		files = append(files, netmodel.File{ID: k, Src: p.From, Dst: p.To, Size: 8 + float64(k), Release: 0, Deadline: 3})
+	}
+	slot := func() {
+		if _, err := solver.Solve(ledger, files, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slot()
+	allocs := testing.AllocsPerRun(20, slot)
+	// Measured 98; the bound carries ~50% headroom.
+	const budget = 150
+	t.Logf("allocs/slot: %.1f", allocs)
+	if allocs > budget {
+		t.Fatalf("warm path slot allocates %.0f times, want <= %d", allocs, budget)
+	}
+}

@@ -94,6 +94,12 @@ type Solver struct {
 	// starts from last slot's proven routes instead of artificials alone.
 	retain map[netmodel.Link][][]netmodel.DC
 
+	// colStat and rowStat are mapKeys' lookup tables from the cached
+	// basis's structural keys to their statuses, cleared and refilled on
+	// every warm solve rather than rebuilt.
+	colStat map[modelKey]lp.BasisStatus
+	rowStat map[modelKey]lp.BasisStatus
+
 	stats SolveStats
 }
 
@@ -158,7 +164,7 @@ func (s *Solver) Solve(ledger *netmodel.Ledger, files []netmodel.File, t int) (*
 	opts.Presolve = true
 	snapshot := false
 	if s.valid && s.basis != nil {
-		opts.InitialBasis = mapBasis(s.basis, s.cols, s.rows, b)
+		opts.InitialBasis = s.mapBasis(b)
 		snapshot = opts.InitialBasis != nil
 	}
 	if opts.InitialBasis == nil {
@@ -207,7 +213,7 @@ func (s *Solver) solvePath(tg *timegraph.Graph, ledger *netmodel.Ledger, files [
 	opts.Presolve = true
 	snapshot := false
 	if s.valid && s.basis != nil {
-		if out, rowStat := mapKeys(s.basis, s.cols, s.rows, pb.colKeys, pb.rowKeys); out != nil {
+		if out, rowStat := s.mapKeys(pb.colKeys, pb.rowKeys); out != nil {
 			pathCrashNewFiles(out, rowStat, pb)
 			opts.InitialBasis = out.Normalize()
 			snapshot = true
@@ -442,18 +448,18 @@ func crashBasis(b *builder) *lp.Basis {
 	return out.Normalize()
 }
 
-// mapBasis translates a basis snapshot captured on a previous model onto
-// the builder's freshly assembled model. Columns and rows whose structural
-// keys match carry their status over; unmatched columns rest at their lower
-// bound and unmatched rows keep their logicals basic (the cold default for
-// that position) — except that files absent from the previous model get a
-// crash route made basic (see crashNewFiles). The result is normalized to
-// the exact basic count the warm-start path requires; any residual rank
-// deficiency is left to the LU factorization's singularity repair. Only map
-// lookups are used — never map iteration — so the mapping is
-// bit-deterministic.
-func mapBasis(prev *lp.Basis, prevCols, prevRows []modelKey, b *builder) *lp.Basis {
-	out, rowStat := mapKeys(prev, prevCols, prevRows, b.colKeys, b.rowKeys)
+// mapBasis translates the cached basis snapshot, captured on a previous
+// model, onto the builder's freshly assembled model. Columns and rows whose
+// structural keys match carry their status over; unmatched columns rest at
+// their lower bound and unmatched rows keep their logicals basic (the cold
+// default for that position) — except that files absent from the previous
+// model get a crash route made basic (see crashNewFiles). The result is
+// normalized to the exact basic count the warm-start path requires; any
+// residual rank deficiency is left to the LU factorization's singularity
+// repair. Only map lookups are used — never map iteration — so the mapping
+// is bit-deterministic.
+func (s *Solver) mapBasis(b *builder) *lp.Basis {
+	out, rowStat := s.mapKeys(b.colKeys, b.rowKeys)
 	if out == nil {
 		return nil
 	}
@@ -465,39 +471,45 @@ func mapBasis(prev *lp.Basis, prevCols, prevRows []modelKey, b *builder) *lp.Bas
 // columns and rows whose structural keys match carry their status over,
 // unmatched columns rest at their lower bound and unmatched rows keep their
 // logicals basic. The previous rows' status map is returned so the caller's
-// crash upgrade can tell carried files from new ones. The caller normalizes
-// after its upgrade. Only map lookups are used — never map iteration — so
-// the mapping is bit-deterministic.
-func mapKeys(prev *lp.Basis, prevCols, prevRows, curCols, curRows []modelKey) (*lp.Basis, map[modelKey]lp.BasisStatus) {
+// crash upgrade can tell carried files from new ones; it is the Solver's
+// own table, valid until the next solve. The caller normalizes after its
+// upgrade. Only map lookups are used — never map iteration — so the mapping
+// is bit-deterministic.
+func (s *Solver) mapKeys(curCols, curRows []modelKey) (*lp.Basis, map[modelKey]lp.BasisStatus) {
+	prev, prevCols, prevRows := s.basis, s.cols, s.rows
 	if prev == nil || prev.NumVars != len(prevCols) || prev.NumRows != len(prevRows) ||
 		len(prev.Status) != prev.NumVars+prev.NumRows {
 		return nil, nil
 	}
-	colStat := make(map[modelKey]lp.BasisStatus, len(prevCols))
-	for j, k := range prevCols {
-		colStat[k] = prev.Status[j]
+	if s.colStat == nil {
+		s.colStat = make(map[modelKey]lp.BasisStatus, len(prevCols))
+		s.rowStat = make(map[modelKey]lp.BasisStatus, len(prevRows))
 	}
-	rowStat := make(map[modelKey]lp.BasisStatus, len(prevRows))
+	clear(s.colStat)
+	clear(s.rowStat)
+	for j, k := range prevCols {
+		s.colStat[k] = prev.Status[j]
+	}
 	for i, k := range prevRows {
-		rowStat[k] = prev.Status[prev.NumVars+i]
+		s.rowStat[k] = prev.Status[prev.NumVars+i]
 	}
 	nv, nr := len(curCols), len(curRows)
 	out := &lp.Basis{NumVars: nv, NumRows: nr, Status: make([]lp.BasisStatus, nv+nr)}
 	for j, k := range curCols {
-		if st, ok := colStat[k]; ok {
+		if st, ok := s.colStat[k]; ok {
 			out.Status[j] = st
 		} else {
 			out.Status[j] = lp.BasisAtLower
 		}
 	}
 	for i, k := range curRows {
-		if st, ok := rowStat[k]; ok {
+		if st, ok := s.rowStat[k]; ok {
 			out.Status[nv+i] = st
 		} else {
 			out.Status[nv+i] = lp.BasisBasic
 		}
 	}
-	return out, rowStat
+	return out, s.rowStat
 }
 
 // crashNewFiles upgrades the mapped basis for files the previous model did

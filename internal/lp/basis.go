@@ -107,7 +107,7 @@ func (s *simplex) captureBasis() *Basis {
 // bounds (e.g. AtLower on a variable whose lower bound became -inf) are
 // normalized to the nearest finite bound rather than rejected.
 func (s *simplex) tryWarmStart(b *Basis) bool {
-	cf := s.cf
+	cf := &s.cf
 	total := cf.n + cf.m
 	if b == nil || b.NumVars != cf.n || b.NumRows != cf.m || len(b.Status) != total {
 		return false
@@ -167,12 +167,19 @@ func (s *simplex) tryWarmStart(b *Basis) bool {
 	}
 	// Singularity repairs may have evicted basics in favour of logicals that
 	// were already basic elsewhere; verify the basis is still a bijection.
-	seen := make([]bool, total)
+	bijective := true
 	for _, bj := range s.basis {
-		if seen[bj] || s.vstat[bj] != vBasic {
-			return false
+		if s.seen[bj] || s.vstat[bj] != vBasic {
+			bijective = false
+			break
 		}
-		seen[bj] = true
+		s.seen[bj] = true
+	}
+	for _, bj := range s.basis {
+		s.seen[bj] = false
+	}
+	if !bijective {
+		return false
 	}
 	count := 0
 	for j := 0; j < total; j++ {

@@ -8,6 +8,9 @@ import (
 	"os"
 )
 
+// lpdebug reports whether the build carries -tags lpdebug.
+const lpdebug = true
+
 // debugCheckDuals audits the maintained reduced-cost vector against an
 // honest dense recomputation from the current factorization and eta file.
 // It is compiled only under -tags lpdebug; the drift tolerance is generous

@@ -11,8 +11,9 @@
 //   - SolveDense: a compact dense tableau simplex kept as an independent
 //     reference implementation for cross-checking.
 //
-// Models are built incrementally with AddVariable and AddConstraint and are
-// immutable during Solve. Variables carry lower/upper bounds (use
+// Models are built incrementally with AddVariable and AddConstraint. Solve
+// leaves the variables and constraints as they are but keeps its workspace
+// in the Model for the next solve. Variables carry lower/upper bounds (use
 // math.Inf(±1) for unbounded) and objective coefficients.
 package lp
 
@@ -102,6 +103,10 @@ type Model struct {
 	stamp []int
 	pos   []int
 	epoch int
+
+	// workspace is the simplex state of the last successful solve (see
+	// solveDirect), kept like stamp/pos across edits and Reset.
+	workspace *simplex
 }
 
 // NewModel returns an empty minimization model.

@@ -416,7 +416,10 @@ func (m *Model) solvePresolved(opts *Options) (*Solution, error) {
 	ropts := *opts
 	ropts.Presolve = false
 	ropts.InitialBasis = ps.mapBasisIn(opts.InitialBasis)
+	// The reduced model borrows the original's workspace.
+	ps.red.workspace, m.workspace = m.workspace, nil
 	rsol, err := ps.red.solveDirect(&ropts)
+	m.workspace = ps.red.workspace
 	if err != nil {
 		return m.solveDirect(opts)
 	}

@@ -190,17 +190,14 @@ func TestSteadyStateIterationAllocs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tc.model(rand.New(rand.NewSource(12)))
-			cf, err := m.buildCompForm()
-			if err != nil {
-				t.Fatal(err)
-			}
 			// A huge refactorization interval keeps the eta file growing
 			// instead of periodically resetting, exercising the pooled eta
 			// storage; the pool reaches its high-water mark during the
 			// warm-up solve.
-			opt := (&Options{RefactorEvery: 1 << 20}).withDefaults(cf.m, cf.n)
-			cf.perturb(opt.Perturb)
-			s := newSimplex(cf, opt)
+			s, err := m.loadSimplex(nil, &Options{RefactorEvery: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := s.coldStart(); err != nil {
 				t.Fatal(err)
 			}

@@ -28,13 +28,15 @@ type compForm struct {
 	c0   []float64 // original minimization costs, for objective reporting
 	lo   []float64
 	hi   []float64
+
+	trip []sparse.Triplet // assembly buffer for a, retained for the next build
 }
 
 // perturb adds a deterministic pseudo-random tiny amount to every cost to
 // break the massive dual degeneracy of network LPs. The original costs are
 // kept in c0 for reporting.
 func (cf *compForm) perturb(scale float64) {
-	cf.c0 = append([]float64(nil), cf.c...)
+	cf.c0 = append(cf.c0[:0], cf.c...)
 	if scale <= 0 {
 		return
 	}
@@ -48,29 +50,23 @@ func (cf *compForm) perturb(scale float64) {
 	}
 }
 
-// buildCompForm converts the model into computational form. Maximization is
-// handled by negating costs; Solve flips the objective value back.
-func (m *Model) buildCompForm() (*compForm, error) {
+// buildCompForm assembles the model's computational form into cf, reusing
+// cf's vectors, triplet buffer and matrix storage. Maximization is handled
+// by negating costs; Solve flips the objective value back.
+func (m *Model) buildCompForm(cf *compForm) error {
 	nRows, nCols := len(m.rows), len(m.obj)
 	for j := 0; j < nCols; j++ {
 		if m.lo[j] > m.hi[j] {
-			return nil, fmt.Errorf("lp: variable %s has empty domain [%g, %g]",
+			return fmt.Errorf("lp: variable %s has empty domain [%g, %g]",
 				m.VarName(VarID(j)), m.lo[j], m.hi[j])
 		}
 	}
-	nnz := 0
-	for _, r := range m.rows {
-		nnz += len(r.idx)
-	}
-	trip := make([]sparse.Triplet, 0, nnz+nRows)
-	cf := &compForm{
-		m:  nRows,
-		n:  nCols,
-		b:  make([]float64, nRows),
-		c:  make([]float64, nCols+nRows),
-		lo: make([]float64, nCols+nRows),
-		hi: make([]float64, nCols+nRows),
-	}
+	total := nCols + nRows
+	cf.m, cf.n = nRows, nCols
+	cf.b = resize(cf.b, nRows)
+	cf.c = resize(cf.c, total)
+	cf.lo = resize(cf.lo, total)
+	cf.hi = resize(cf.hi, total)
 	copy(cf.lo, m.lo)
 	copy(cf.hi, m.hi)
 	for j, c := range m.obj {
@@ -80,6 +76,8 @@ func (m *Model) buildCompForm() (*compForm, error) {
 			cf.c[j] = c
 		}
 	}
+	clear(cf.c[nCols:]) // logicals cost nothing
+	trip := cf.trip[:0]
 	for i, r := range m.rows {
 		cf.b[i] = r.rhs
 		for p, j := range r.idx {
@@ -96,12 +94,13 @@ func (m *Model) buildCompForm() (*compForm, error) {
 			cf.lo[lj], cf.hi[lj] = 0, 0
 		}
 	}
-	a, err := sparse.NewFromTriplets(nRows, nCols+nRows, trip)
+	cf.trip = trip
+	a, err := sparse.NewFromTriplets(cf.a, nRows, total, trip)
 	if err != nil {
-		return nil, fmt.Errorf("lp: building constraint matrix: %w", err)
+		return fmt.Errorf("lp: building constraint matrix: %w", err)
 	}
 	cf.a = a
-	return cf, nil
+	return nil
 }
 
 // eta is one product-form basis update. Its nonzero off-pivot rows live in
@@ -114,9 +113,12 @@ type eta struct {
 	pivot      float64
 }
 
-// simplex holds the mutable state of one revised-simplex solve.
+// simplex holds the mutable state of one revised-simplex solve. It is also
+// the workspace a Model retains between solves: reset readies it for the
+// next solve in place, so every buffer below is allocated once per Model
+// and grown only when the model does.
 type simplex struct {
-	cf  *compForm
+	cf  compForm
 	opt Options
 
 	basis []int     // basic variable per row position
@@ -171,6 +173,8 @@ type simplex struct {
 
 	ws sparse.PatternWorkspace
 
+	seen []bool // warm-start bijection check scratch, clear at rest
+
 	useDevex bool
 
 	warmStarted bool
@@ -183,42 +187,89 @@ type simplex struct {
 	work Work
 }
 
-// newSimplex allocates all solver state for the computational form. Every
-// buffer a steady-state iteration appends to is pre-sized here, so iterations
-// after warm-up perform no allocations (asserted by
-// TestSteadyStateIterationAllocs).
-func newSimplex(cf *compForm, opt Options) *simplex {
-	total := cf.n + cf.m
-	return &simplex{
-		cf:         cf,
+// loadSimplex readies the workspace s (nil allocates one) to solve the
+// model under opts: it assembles the computational form into s, perturbs
+// its costs and resets every piece of solver state.
+func (m *Model) loadSimplex(s *simplex, opts *Options) (*simplex, error) {
+	if s == nil {
+		s = new(simplex)
+	}
+	if err := m.buildCompForm(&s.cf); err != nil {
+		return nil, err
+	}
+	opt := opts.withDefaults(s.cf.m, s.cf.n)
+	s.cf.perturb(opt.Perturb)
+	s.reset(opt)
+	return s, nil
+}
+
+// reset returns the solver state to that of a newly allocated simplex over
+// the computational form just assembled into s.cf: every vector is resized
+// to the new shape and zeroed, the eta pools are emptied, and every scalar
+// takes its initial value, while all backing arrays, the LU and the
+// pattern workspace are kept. A recycled solve therefore follows exactly
+// the trajectory of a fresh one. Every buffer a steady-state iteration
+// appends to is pre-sized here, so iterations after warm-up perform no
+// allocations (asserted by TestSteadyStateIterationAllocs).
+func (s *simplex) reset(opt Options) {
+	m, total := s.cf.m, s.cf.n+s.cf.m
+	lu := s.lu
+	if lu == nil {
+		lu = new(sparse.LU)
+	}
+	*s = simplex{
+		cf:         s.cf,
 		opt:        opt,
-		at:         cf.a.ToCSR(),
-		basis:      make([]int, cf.m),
-		vstat:      make([]vstatus, total),
-		xB:         make([]float64, cf.m),
-		w:          make([]float64, cf.m),
-		wIdx:       make([]int, 0, cf.m),
-		wMark:      make([]bool, cf.m),
-		y:          make([]float64, cf.m),
-		cB:         make([]float64, cf.m),
-		scratch:    make([]float64, cf.m),
-		rhs:        make([]float64, cf.m),
-		rho:        make([]float64, cf.m),
-		rhoIdx:     make([]int, 0, cf.m),
-		btv:        make([]float64, cf.m),
-		btvIdx:     make([]int, 0, cf.m),
-		btvMark:    make([]bool, cf.m),
-		posVal:     make([]float64, 0, cf.m),
-		alpha:      make([]float64, total),
-		alphaIdx:   make([]int, 0, total),
-		alphaMark:  make([]bool, total),
-		d:          make([]float64, total),
-		devexW:     make([]float64, total),
-		deltaIdx:   make([]int, 0, cf.m),
-		deltaVal:   make([]float64, 0, cf.m),
+		basis:      zeroed(s.basis, m),
+		vstat:      zeroed(s.vstat, total),
+		xB:         zeroed(s.xB, m),
+		lu:         lu,
+		at:         s.cf.a.ToCSR(s.at),
+		etas:       s.etas[:0],
+		etaIdx:     s.etaIdx[:0],
+		etaVal:     s.etaVal[:0],
+		w:          zeroed(s.w, m),
+		wIdx:       resize(s.wIdx, m)[:0],
+		wMark:      zeroed(s.wMark, m),
+		y:          zeroed(s.y, m),
+		cB:         zeroed(s.cB, m),
+		scratch:    zeroed(s.scratch, m),
+		rhs:        zeroed(s.rhs, m),
+		rho:        zeroed(s.rho, m),
+		rhoIdx:     resize(s.rhoIdx, m)[:0],
+		btv:        zeroed(s.btv, m),
+		btvIdx:     resize(s.btvIdx, m)[:0],
+		btvMark:    zeroed(s.btvMark, m),
+		posVal:     resize(s.posVal, m)[:0],
+		alpha:      zeroed(s.alpha, total),
+		alphaIdx:   resize(s.alphaIdx, total)[:0],
+		alphaMark:  zeroed(s.alphaMark, total),
+		d:          zeroed(s.d, total),
+		devexW:     zeroed(s.devexW, total),
+		deltaIdx:   resize(s.deltaIdx, m)[:0],
+		deltaVal:   resize(s.deltaVal, m)[:0],
+		ws:         s.ws,
+		seen:       zeroed(s.seen, total),
 		useDevex:   opt.Pricing == PricingDevex,
 		devexStale: true, // weights start uninitialized
 	}
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough and growing it as append would otherwise. Elements that
+// survive keep their values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// zeroed is resize with every element cleared.
+func zeroed[T any](s []T, n int) []T {
+	s = resize(s, n)
+	clear(s)
+	return s
 }
 
 // sparseLimit is the pattern-size cutoff for the hyper-sparse triangular
@@ -251,7 +302,7 @@ func (s *simplex) nbValue(j int) float64 {
 // maintained reduced costs (which are defined against the dropped etas and
 // possibly-repaired basis).
 func (s *simplex) refactorize() error {
-	lu, err := sparse.FactorizeBasis(s.cf.a, s.basis, s.opt.PivotTol*1e-2)
+	lu, err := sparse.FactorizeBasis(s.lu, s.cf.a, s.basis, s.opt.PivotTol*1e-2)
 	if err != nil {
 		return fmt.Errorf("lp: basis factorization: %w", err)
 	}
@@ -1208,8 +1259,11 @@ func (s *simplex) clearPerturbation() bool {
 }
 
 // Solve optimizes the model with the sparse revised simplex and returns the
-// solution. The model is not modified. Status is always set on the returned
-// Solution when err is nil.
+// solution. The model's variables and constraints are not modified, but the
+// Model retains the solver's workspace between calls, so Solve is not safe
+// for concurrent use on one Model. The returned Solution shares nothing with
+// that workspace. Status is always set on the returned Solution when err is
+// nil.
 //
 // With Options.Presolve the model is reduced first and the solution mapped
 // back; with Options.InitialBasis the simplex is seeded from the snapshot
@@ -1221,16 +1275,17 @@ func (m *Model) Solve(opts *Options) (*Solution, error) {
 	return m.solveDirect(opts)
 }
 
-// solveDirect runs the simplex on the model as-is.
+// solveDirect runs the simplex on the model as-is, in the workspace the
+// Model retains. The workspace is handed back only when the solve succeeds:
+// one that errors may have stopped anywhere, so the next solve starts from a
+// new workspace instead.
 func (m *Model) solveDirect(opts *Options) (*Solution, error) {
-	cf, err := m.buildCompForm()
+	s, err := m.loadSimplex(m.workspace, opts)
+	m.workspace = nil
 	if err != nil {
 		return nil, err
 	}
-	opt := opts.withDefaults(cf.m, cf.n)
-	cf.perturb(opt.Perturb)
-	s := newSimplex(cf, opt)
-	if opt.InitialBasis != nil && s.tryWarmStart(opt.InitialBasis) {
+	if b := s.opt.InitialBasis; b != nil && s.tryWarmStart(b) {
 		s.warmStarted = true
 	} else if err := s.coldStart(); err != nil {
 		return nil, err
@@ -1240,13 +1295,15 @@ func (m *Model) solveDirect(opts *Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.solution(m, status), nil
+	sol := s.solution(m, status)
+	m.workspace = s
+	return sol, nil
 }
 
 // coldStart installs the all-logical basis; structurals rest at a finite
 // bound.
 func (s *simplex) coldStart() error {
-	cf := s.cf
+	cf := &s.cf
 	for j := 0; j < cf.n; j++ {
 		switch {
 		case !math.IsInf(cf.lo[j], -1):

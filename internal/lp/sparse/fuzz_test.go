@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -10,13 +11,16 @@ import (
 // solves against the dense substitution reference on randomly generated
 // factorizations and sparse right-hand sides. The fuzzer drives the matrix
 // shape, density, RHS support, and the pattern limit (so both the sparse
-// path and every dense-fallback branch are exercised), and checks three
-// invariants:
+// path and every dense-fallback branch are exercised). The factorization
+// under test runs on recycled storage: a different matrix was factorized
+// into the same LU first — larger or smaller, singular so repairs fire, or
+// with an out-of-range row so the call errors. It checks four invariants:
 //
-//  1. the sparse result matches the dense Solve/SolveT result elementwise,
-//  2. on the sparse path, every position outside the returned pattern is
+//  1. the recycled factorization equals a fresh one bit for bit,
+//  2. the sparse result matches the dense Solve/SolveT result elementwise,
+//  3. on the sparse path, every position outside the returned pattern is
 //     untouched (still zero), and
-//  3. the workspace is restored to its resting state (marks clear, numeric
+//  4. the workspace is restored to its resting state (marks clear, numeric
 //     buffers zero) so the next solve starts clean.
 func FuzzSparseTriangularSolve(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(30), uint8(2), uint8(100), false)
@@ -32,10 +36,15 @@ func FuzzSparseTriangularSolve(f *testing.F) {
 
 		rng := rand.New(rand.NewSource(seed))
 		m := randomNonsingular(rng, n, density)
-		lu, err := Factorize(n, columnsOf(m), 1e-12)
+		fresh, err := Factorize(nil, n, columnsOf(m), 1e-12)
 		if err != nil {
 			t.Skip("factorization failed; not the property under test")
 		}
+		lu := priorLU(t, rand.New(rand.NewSource(^seed)), n, density)
+		if lu, err = Factorize(lu, n, columnsOf(m), 1e-12); err != nil {
+			t.Fatalf("recycled factorization failed where a fresh one succeeded: %v", err)
+		}
+		sameLU(t, lu, fresh)
 		if len(lu.Repairs()) != 0 {
 			t.Skip("repaired basis; dense/sparse comparison undefined")
 		}
@@ -129,4 +138,93 @@ func FuzzSparseTriangularSolve(f *testing.F) {
 			}
 		}
 	})
+}
+
+// priorLU returns nil or an LU that already holds (or failed) a
+// factorization of some other matrix of dimension up to n+20: nonsingular,
+// singular with two identical columns so a repair fires, or carrying an
+// out-of-range row index so Factorize errors. A failed call must leave the
+// LU empty with clean scratch.
+func priorLU(t *testing.T, rng *rand.Rand, n int, density float64) *LU {
+	t.Helper()
+	dim := 2 + rng.Intn(n+20)
+	cols := columnsOf(randomNonsingular(rng, dim, density))
+	switch rng.Intn(4) {
+	case 0:
+		return nil
+	case 1:
+		lu, err := Factorize(nil, dim, cols, 1e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lu
+	case 2:
+		lu, err := Factorize(nil, dim, func(k int) ([]int, []float64) { return cols(k &^ 1) }, 1e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lu.Repairs()) == 0 {
+			t.Fatal("duplicated columns factorized without a repair")
+		}
+		return lu
+	}
+	bad := rng.Intn(dim)
+	lu := new(LU)
+	_, err := Factorize(lu, dim, func(k int) ([]int, []float64) {
+		rows, vals := cols(k)
+		if k == bad {
+			rows = append(append([]int(nil), rows...), dim)
+			vals = append(append([]float64(nil), vals...), 1)
+		}
+		return rows, vals
+	}, 1e-12)
+	if err == nil {
+		t.Fatal("out-of-range row index accepted")
+	}
+	if lu.N() != 0 || len(lu.Repairs()) != 0 {
+		t.Fatalf("failed factorization left N %d, %d repairs", lu.N(), len(lu.Repairs()))
+	}
+	for i, v := range lu.x {
+		if v != 0 || lu.mark[i] {
+			t.Fatalf("failed factorization left scratch at %d: x %g, mark %v", i, v, lu.mark[i])
+		}
+	}
+	return lu
+}
+
+// sameLU fails unless got and want hold bit-identical factorizations.
+func sameLU(t *testing.T, got, want *LU) {
+	t.Helper()
+	if got.n != want.n {
+		t.Fatalf("dimension %d, want %d", got.n, want.n)
+	}
+	ints := []struct {
+		name      string
+		got, want []int
+	}{
+		{"lColPtr", got.lColPtr, want.lColPtr}, {"lRow", got.lRow, want.lRow},
+		{"uColPtr", got.uColPtr, want.uColPtr}, {"uRow", got.uRow, want.uRow},
+		{"lRowPtr", got.lRowPtr, want.lRowPtr}, {"lRowCol", got.lRowCol, want.lRowCol},
+		{"uRowPtr", got.uRowPtr, want.uRowPtr}, {"uRowCol", got.uRowCol, want.uRowCol},
+		{"pinv", got.pinv, want.pinv}, {"perm", got.perm, want.perm},
+	}
+	for _, c := range ints {
+		if !slices.Equal(c.got, c.want) {
+			t.Fatalf("%s = %v, fresh factorization %v", c.name, c.got, c.want)
+		}
+	}
+	floats := []struct {
+		name      string
+		got, want []float64
+	}{
+		{"lVal", got.lVal, want.lVal}, {"uVal", got.uVal, want.uVal}, {"uDiag", got.uDiag, want.uDiag},
+	}
+	for _, c := range floats {
+		if !slices.EqualFunc(c.got, c.want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("%s = %v, fresh factorization %v", c.name, c.got, c.want)
+		}
+	}
+	if !slices.Equal(got.Repairs(), want.Repairs()) {
+		t.Fatalf("repairs %v, fresh factorization %v", got.Repairs(), want.Repairs())
+	}
 }

@@ -18,6 +18,11 @@ type Repair struct {
 // its diagonal stored separately, and P is the row permutation chosen by
 // partial pivoting. Row indices of L and U are expressed in pivot-position
 // space once factorization completes.
+//
+// An LU owns its storage: Factorize overwrites a caller-supplied LU in
+// place, reusing every slice it holds, so refactorizing a basis of similar
+// size allocates nothing. Between calls the numeric scratch is zero and the
+// DFS marks are clear; Factorize restores that on every return path.
 type LU struct {
 	n int
 
@@ -45,13 +50,22 @@ type LU struct {
 	perm []int // pivot position -> original row
 
 	repairs []Repair
+
+	// Factorization scratch, retained across calls.
+	x      []float64 // dense numeric workspace, zero between columns
+	mark   []bool    // DFS visited flags, clear between columns
+	topo   []int     // post-order node list (reverse = topological)
+	stack  []int     // explicit DFS stack
+	cursor []int     // per-node edge cursor for the iterative DFS
+	next   []int     // per-row insertion cursor of transposePattern
 }
 
 // N reports the dimension of the factorized matrix.
 func (f *LU) N() int { return f.n }
 
 // Repairs reports the basis repairs performed, in factorization order. An
-// empty slice means the matrix was numerically nonsingular.
+// empty slice means the matrix was numerically nonsingular. The slice is
+// owned by the LU and overwritten by its next factorization.
 func (f *LU) Repairs() []Repair { return f.repairs }
 
 // LNNZ reports the number of stored off-diagonal entries of L.
@@ -69,43 +83,60 @@ func (f *LU) UNNZ() int { return len(f.uRow) + f.n }
 // Gilbert-Peierls algorithm: each column is obtained by a sparse triangular
 // solve against the already-computed columns of L, with the nonzero pattern
 // predicted by a depth-first reachability pass.
-func Factorize(n int, column func(k int) ([]int, []float64), pivTol float64) (*LU, error) {
+//
+// The factorization is written into f, whose storage is reused; nil
+// allocates a new LU. The result is identical either way. On error f holds
+// no factorization (N reports 0) and its scratch is clean, so it can be
+// passed to the next call.
+func Factorize(f *LU, n int, column func(k int) ([]int, []float64), pivTol float64) (*LU, error) {
+	if f == nil {
+		f = new(LU)
+	}
 	if n < 0 {
+		f.discard()
 		return nil, fmt.Errorf("sparse: negative dimension %d", n)
 	}
 	if pivTol <= 0 {
 		pivTol = 1e-11
 	}
-	f := &LU{
-		n:       n,
-		lColPtr: make([]int, 1, n+1),
-		uColPtr: make([]int, 1, n+1),
-		uDiag:   make([]float64, 0, n),
-		pinv:    make([]int, n),
-		perm:    make([]int, n),
-	}
+	f.n = n
+	f.lColPtr = append(f.lColPtr[:0], 0)
+	f.lRow, f.lVal = f.lRow[:0], f.lVal[:0]
+	f.uColPtr = append(f.uColPtr[:0], 0)
+	f.uRow, f.uVal, f.uDiag = f.uRow[:0], f.uVal[:0], f.uDiag[:0]
+	f.pinv = resize(f.pinv, n)
+	f.perm = resize(f.perm, n)
 	for i := range f.pinv {
 		f.pinv[i] = -1
 		f.perm[i] = -1
 	}
+	f.repairs = f.repairs[:0]
 
-	x := make([]float64, n)     // dense numeric workspace, reset after each column
-	mark := make([]bool, n)     // DFS visited flags, reset after each column
-	topo := make([]int, 0, 64)  // post-order node list (reverse = topological)
-	stack := make([]int, 0, 64) // explicit DFS stack: node
-	cursor := make([]int, n)    // per-node edge cursor for iterative DFS
-	freeRowScan := 0            // cursor for locating unpivoted rows on repair
+	// x and mark are zero across their whole backing arrays between calls,
+	// so reslicing them needs no clearing.
+	x := resize(f.x, n)
+	mark := resize(f.mark, n)
+	cursor := resize(f.cursor, n)
+	topo, stack := f.topo[:0], f.stack[:0]
+	freeRowScan := 0 // cursor for locating unpivoted rows on repair
+	// fail leaves the column's scratch clean and f empty.
+	fail := func(err error) (*LU, error) {
+		clearWorkspace(x, mark, topo)
+		f.x, f.mark, f.cursor, f.topo, f.stack = x, mark, cursor, topo, stack
+		f.discard()
+		return nil, err
+	}
 
 	for k := 0; k < n; k++ {
 		rows, vals := column(k)
 		if len(rows) != len(vals) {
-			return nil, fmt.Errorf("sparse: column %d has mismatched slices (%d rows, %d vals)", k, len(rows), len(vals))
+			return fail(fmt.Errorf("sparse: column %d has mismatched slices (%d rows, %d vals)", k, len(rows), len(vals)))
 		}
 		// Symbolic: reachability of the column pattern through L's DAG.
 		topo = topo[:0]
 		for _, r := range rows {
 			if r < 0 || r >= n {
-				return nil, fmt.Errorf("sparse: column %d row index %d out of range", k, r)
+				return fail(fmt.Errorf("sparse: column %d row index %d out of range", k, r))
 			}
 			if mark[r] {
 				continue
@@ -173,7 +204,7 @@ func Factorize(n int, column func(k int) ([]int, []float64), pivTol float64) (*L
 				freeRowScan++
 			}
 			if freeRowScan >= n {
-				return nil, fmt.Errorf("sparse: no unpivoted row available for repair at column %d", k)
+				return fail(fmt.Errorf("sparse: no unpivoted row available for repair at column %d", k))
 			}
 			r := freeRowScan
 			f.pinv[r] = k
@@ -209,6 +240,7 @@ func Factorize(n int, column func(k int) ([]int, []float64), pivTol float64) (*L
 		f.lColPtr = append(f.lColPtr, len(f.lRow))
 		clearWorkspace(x, mark, topo)
 	}
+	f.x, f.mark, f.cursor, f.topo, f.stack = x, mark, cursor, topo, stack
 	// Remap L's row indices from original space to pivot positions.
 	for p, r := range f.lRow {
 		f.lRow[p] = f.pinv[r]
@@ -217,57 +249,85 @@ func Factorize(n int, column func(k int) ([]int, []float64), pivTol float64) (*L
 	return f, nil
 }
 
+// discard empties the factorization after a failed call, keeping storage.
+// A nil LU has nothing to discard.
+func (f *LU) discard() {
+	if f == nil {
+		return
+	}
+	f.n = 0
+	f.lColPtr, f.lRow, f.lVal = f.lColPtr[:0], f.lRow[:0], f.lVal[:0]
+	f.uColPtr, f.uRow, f.uVal, f.uDiag = f.uColPtr[:0], f.uRow[:0], f.uVal[:0], f.uDiag[:0]
+	f.lRowPtr, f.lRowCol, f.uRowPtr, f.uRowCol = f.lRowPtr[:0], f.lRowCol[:0], f.uRowPtr[:0], f.uRowCol[:0]
+	f.pinv, f.perm, f.repairs = f.pinv[:0], f.perm[:0], f.repairs[:0]
+}
+
 // buildRowPatterns assembles the row-major patterns of L and U (in pivot
 // space) that the transposed sparse solves traverse.
 func (f *LU) buildRowPatterns() {
-	f.lRowPtr, f.lRowCol = transposePattern(f.n, f.lColPtr, f.lRow)
-	f.uRowPtr, f.uRowCol = transposePattern(f.n, f.uColPtr, f.uRow)
+	f.lRowPtr, f.lRowCol = f.transposePattern(f.lColPtr, f.lRow, f.lRowPtr, f.lRowCol)
+	f.uRowPtr, f.uRowCol = f.transposePattern(f.uColPtr, f.uRow, f.uRowPtr, f.uRowCol)
 }
 
 // transposePattern converts a CSC pattern into the corresponding CSR
-// pattern: for each row r, the list of columns k whose column contains r.
-// Column lists come out sorted ascending.
-func transposePattern(n int, colPtr, rowIdx []int) (rowPtr, rowCol []int) {
-	rowPtr = make([]int, n+1)
+// pattern, written into rowPtr and rowCol: for each row r, the list of
+// columns k whose column contains r. Column lists come out sorted
+// ascending.
+func (f *LU) transposePattern(colPtr, rowIdx, rowPtr, rowCol []int) ([]int, []int) {
+	n := f.n
+	rowPtr = resize(rowPtr, n+1)
+	clear(rowPtr)
 	for _, r := range rowIdx {
 		rowPtr[r+1]++
 	}
 	for i := 0; i < n; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
-	rowCol = make([]int, len(rowIdx))
-	next := make([]int, n)
-	copy(next, rowPtr[:n])
+	rowCol = resize(rowCol, len(rowIdx))
+	f.next = resize(f.next, n)
+	copy(f.next, rowPtr[:n])
 	for k := 0; k < n; k++ {
 		for c := colPtr[k]; c < colPtr[k+1]; c++ {
 			r := rowIdx[c]
-			rowCol[next[r]] = k
-			next[r]++
+			rowCol[f.next[r]] = k
+			f.next[r]++
 		}
 	}
 	return rowPtr, rowCol
 }
 
-// FactorizeBasis factorizes the square basis matrix whose k-th column is
-// column basis[k] of a. It is the entry point the revised simplex uses both
-// for cold refactorizations and for factorizing a caller-supplied warm
-// basis: the column order is exactly the basis order, so pivot-position
-// bookkeeping in the returned LU matches the simplex's row positions. Each
-// basis entry must index a column of a; a's row count must equal
-// len(basis).
-func FactorizeBasis(a *Matrix, basis []int, pivTol float64) (*LU, error) {
+// FactorizeBasis factorizes, into f (nil allocates), the square basis
+// matrix whose k-th column is column basis[k] of a. It is the entry point
+// the revised simplex uses both for cold refactorizations and for
+// factorizing a caller-supplied warm basis: the column order is exactly the
+// basis order, so pivot-position bookkeeping in the returned LU matches the
+// simplex's row positions. Each basis entry must index a column of a; a's
+// row count must equal len(basis). Errors leave f as Factorize's do.
+func FactorizeBasis(f *LU, a *Matrix, basis []int, pivTol float64) (*LU, error) {
 	if a.Rows != len(basis) {
+		f.discard()
 		return nil, fmt.Errorf("sparse: basis of %d columns for a matrix with %d rows", len(basis), a.Rows)
 	}
 	for k, j := range basis {
 		if j < 0 || j >= a.Cols {
+			f.discard()
 			return nil, fmt.Errorf("sparse: basis position %d references column %d of a %dx%d matrix",
 				k, j, a.Rows, a.Cols)
 		}
 	}
-	return Factorize(len(basis), func(k int) ([]int, []float64) {
+	return Factorize(f, len(basis), func(k int) ([]int, []float64) {
 		return a.ColumnSlices(basis[k])
 	}, pivTol)
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough and growing it as append would otherwise. Elements that
+// survive keep their values; callers overwrite or clear what they read.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 func clearWorkspace(x []float64, mark []bool, pattern []int) {

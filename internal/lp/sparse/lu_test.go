@@ -23,7 +23,7 @@ func randomNonsingular(rng *rand.Rand, n int, density float64) *Matrix {
 			}
 		}
 	}
-	m, err := NewFromTriplets(n, n, trip)
+	m, err := NewFromTriplets(nil, n, n, trip)
 	if err != nil {
 		panic(err)
 	}
@@ -36,11 +36,11 @@ func TestLUSolveIdentity(t *testing.T) {
 	for i := 0; i < n; i++ {
 		trip = append(trip, Triplet{Row: i, Col: i, Val: 1})
 	}
-	m, err := NewFromTriplets(n, n, trip)
+	m, err := NewFromTriplets(nil, n, n, trip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Factorize(n, columnsOf(m), 0)
+	f, err := Factorize(nil, n, columnsOf(m), 0)
 	if err != nil {
 		t.Fatalf("Factorize: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestLUSolveRandom(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(30)
 		m := randomNonsingular(rng, n, 0.25)
-		f, err := Factorize(n, columnsOf(m), 1e-12)
+		f, err := Factorize(nil, n, columnsOf(m), 1e-12)
 		if err != nil {
 			t.Fatalf("trial %d: Factorize: %v", trial, err)
 		}
@@ -90,7 +90,7 @@ func TestLUSolveTransposeRandom(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(30)
 		m := randomNonsingular(rng, n, 0.25)
-		f, err := Factorize(n, columnsOf(m), 1e-12)
+		f, err := Factorize(nil, n, columnsOf(m), 1e-12)
 		if err != nil {
 			t.Fatalf("trial %d: Factorize: %v", trial, err)
 		}
@@ -120,11 +120,11 @@ func TestLUPermutedIdentity(t *testing.T) {
 	for j, i := range perm {
 		trip = append(trip, Triplet{Row: i, Col: j, Val: 1})
 	}
-	m, err := NewFromTriplets(n, n, trip)
+	m, err := NewFromTriplets(nil, n, n, trip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Factorize(n, columnsOf(m), 0)
+	f, err := Factorize(nil, n, columnsOf(m), 0)
 	if err != nil {
 		t.Fatalf("Factorize: %v", err)
 	}
@@ -149,11 +149,11 @@ func TestLUSingularRepaired(t *testing.T) {
 		{Row: 0, Col: 1, Val: 1}, {Row: 1, Col: 1, Val: 2},
 		{Row: 2, Col: 2, Val: 5},
 	}
-	m, err := NewFromTriplets(n, n, trip)
+	m, err := NewFromTriplets(nil, n, n, trip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Factorize(n, columnsOf(m), 1e-10)
+	f, err := Factorize(nil, n, columnsOf(m), 1e-10)
 	if err != nil {
 		t.Fatalf("Factorize: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestLUSingularRepaired(t *testing.T) {
 }
 
 func TestLUZeroDimension(t *testing.T) {
-	f, err := Factorize(0, func(int) ([]int, []float64) { return nil, nil }, 0)
+	f, err := Factorize(nil, 0, func(int) ([]int, []float64) { return nil, nil }, 0)
 	if err != nil {
 		t.Fatalf("Factorize(0): %v", err)
 	}
@@ -197,7 +197,7 @@ func TestLUZeroDimension(t *testing.T) {
 
 func TestLUAllZeroMatrixFullyRepaired(t *testing.T) {
 	n := 4
-	f, err := Factorize(n, func(int) ([]int, []float64) { return nil, nil }, 1e-10)
+	f, err := Factorize(nil, n, func(int) ([]int, []float64) { return nil, nil }, 1e-10)
 	if err != nil {
 		t.Fatalf("Factorize: %v", err)
 	}
@@ -218,14 +218,45 @@ func TestLUAllZeroMatrixFullyRepaired(t *testing.T) {
 	}
 }
 
+// TestFactorizeWarmAllocs pins the storage reuse of Factorize: once an LU
+// has held a factorization of the same size, refactorizing into it — by
+// column callback or through FactorizeBasis — allocates nothing.
+func TestFactorizeWarmAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n := 120
+	m := randomNonsingular(rng, n, 0.03)
+	cols := columnsOf(m)
+	basis := rng.Perm(n)
+	lu, err := Factorize(nil, n, cols, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Factorize(lu, n, cols, 1e-12); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Factorize into a warm LU allocates %.1f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := FactorizeBasis(lu, m, basis, 1e-12); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("FactorizeBasis into a warm LU allocates %.1f times, want 0", allocs)
+	}
+}
+
 func BenchmarkLUFactorize200(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := randomNonsingular(rng, 200, 0.02)
 	cols := columnsOf(m)
+	var lu *LU
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Factorize(200, cols, 1e-12); err != nil {
+		var err error
+		if lu, err = Factorize(lu, 200, cols, 1e-12); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,7 +266,7 @@ func BenchmarkLUSolve200(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	n := 200
 	m := randomNonsingular(rng, n, 0.02)
-	f, err := Factorize(n, columnsOf(m), 1e-12)
+	f, err := Factorize(nil, n, columnsOf(m), 1e-12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -256,7 +287,7 @@ func BenchmarkLUSolve200(b *testing.B) {
 // columns [2, 0] of a 2x3 matrix must reproduce B = [a_2, a_0] and solve
 // against it, and malformed bases must be rejected.
 func TestFactorizeBasis(t *testing.T) {
-	a, err := NewFromTriplets(2, 3, []Triplet{
+	a, err := NewFromTriplets(nil, 2, 3, []Triplet{
 		{0, 0, 2}, {1, 0, 1},
 		{0, 1, 1},
 		{1, 2, 3},
@@ -264,7 +295,7 @@ func TestFactorizeBasis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lu, err := FactorizeBasis(a, []int{2, 0}, 0)
+	lu, err := FactorizeBasis(nil, a, []int{2, 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +309,10 @@ func TestFactorizeBasis(t *testing.T) {
 	if r1 := 3*x[0] + 1*x[1] - 4; r1 > 1e-12 || r1 < -1e-12 {
 		t.Errorf("residual row 1 = %v", r1)
 	}
-	if _, err := FactorizeBasis(a, []int{0}, 0); err == nil {
+	if _, err := FactorizeBasis(nil, a, []int{0}, 0); err == nil {
 		t.Error("expected error for basis/row-count mismatch")
 	}
-	if _, err := FactorizeBasis(a, []int{0, 5}, 0); err == nil {
+	if _, err := FactorizeBasis(nil, a, []int{0, 5}, 0); err == nil {
 		t.Error("expected error for out-of-range basis column")
 	}
 }

@@ -11,15 +11,18 @@ import (
 	"sort"
 )
 
-// Matrix is an immutable sparse matrix in compressed sparse-column (CSC)
-// form. Column j occupies positions ColPtr[j]..ColPtr[j+1] of RowIdx and
-// Val. Row indices within a column are sorted ascending with no duplicates.
+// Matrix is a sparse matrix in compressed sparse-column (CSC) form. Column
+// j occupies positions ColPtr[j]..ColPtr[j+1] of RowIdx and Val. Row
+// indices within a column are sorted ascending with no duplicates. A Matrix
+// is read-only once assembled; NewFromTriplets may reassemble it in place.
 type Matrix struct {
 	Rows   int
 	Cols   int
 	ColPtr []int     // length Cols+1
 	RowIdx []int     // length nnz
 	Val    []float64 // length nnz
+
+	next []int // per-column insertion cursor, retained for reassembly
 }
 
 // Triplet is a single (row, col, value) entry used when assembling a Matrix.
@@ -30,35 +33,40 @@ type Triplet struct {
 }
 
 // NewFromTriplets assembles a rows x cols CSC matrix from coordinate-form
-// entries. Duplicate entries are summed; explicit zeros are kept (callers
-// that care can prune). It returns an error when an index is out of range.
-func NewFromTriplets(rows, cols int, entries []Triplet) (*Matrix, error) {
+// entries into m, reusing its storage (nil allocates a new Matrix).
+// Duplicate entries are summed; explicit zeros are kept (callers that care
+// can prune). It returns an error, leaving m untouched, when an index is
+// out of range.
+func NewFromTriplets(m *Matrix, rows, cols int, entries []Triplet) (*Matrix, error) {
 	for _, e := range entries {
 		if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
 			return nil, fmt.Errorf("sparse: triplet (%d,%d) out of range for %dx%d matrix",
 				e.Row, e.Col, rows, cols)
 		}
 	}
-	// Count column occupancies.
-	counts := make([]int, cols+1)
-	for _, e := range entries {
-		counts[e.Col+1]++
+	if m == nil {
+		m = new(Matrix)
 	}
-	colPtr := make([]int, cols+1)
+	m.Rows, m.Cols = rows, cols
+	// Count column occupancies, then prefix-sum them into column starts.
+	m.ColPtr = resize(m.ColPtr, cols+1)
+	clear(m.ColPtr)
+	for _, e := range entries {
+		m.ColPtr[e.Col+1]++
+	}
 	for j := 0; j < cols; j++ {
-		colPtr[j+1] = colPtr[j] + counts[j+1]
+		m.ColPtr[j+1] += m.ColPtr[j]
 	}
-	rowIdx := make([]int, len(entries))
-	val := make([]float64, len(entries))
-	next := make([]int, cols)
-	copy(next, colPtr[:cols])
+	m.RowIdx = resize(m.RowIdx, len(entries))
+	m.Val = resize(m.Val, len(entries))
+	m.next = resize(m.next, cols)
+	copy(m.next, m.ColPtr[:cols])
 	for _, e := range entries {
-		p := next[e.Col]
-		rowIdx[p] = e.Row
-		val[p] = e.Val
-		next[e.Col]++
+		p := m.next[e.Col]
+		m.RowIdx[p] = e.Row
+		m.Val[p] = e.Val
+		m.next[e.Col]++
 	}
-	m := &Matrix{Rows: rows, Cols: cols, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
 	m.sortAndDedup()
 	return m, nil
 }
@@ -83,7 +91,8 @@ scan:
 	if sorted {
 		return
 	}
-	outPtr := make([]int, m.Cols+1)
+	// Compaction only moves entries toward the front, so the column starts,
+	// indices and values are all rewritten in place.
 	outIdx := m.RowIdx[:0]
 	outVal := m.Val[:0]
 	type ent struct {
@@ -99,7 +108,7 @@ scan:
 			scratch = append(scratch, ent{m.RowIdx[p], m.Val[p]})
 		}
 		sort.Slice(scratch, func(a, b int) bool { return scratch[a].row < scratch[b].row })
-		outPtr[j] = writePos
+		m.ColPtr[j] = writePos
 		for i := 0; i < len(scratch); {
 			row := scratch[i].row
 			sum := 0.0
@@ -112,8 +121,7 @@ scan:
 			writePos++
 		}
 	}
-	outPtr[m.Cols] = writePos
-	m.ColPtr = outPtr
+	m.ColPtr[m.Cols] = writePos
 	m.RowIdx = outIdx[:writePos]
 	m.Val = outVal[:writePos]
 }
@@ -177,46 +185,50 @@ func (m *Matrix) MulTVec(x, y []float64) {
 	}
 }
 
-// CSR is an immutable row-major (compressed sparse-row) mirror of a
-// Matrix. Row i occupies positions RowPtr[i]..RowPtr[i+1] of ColIdx and
-// Val, with column indices sorted ascending. The revised simplex keeps a
-// CSR mirror of the constraint matrix alongside the CSC original so the
-// pivot row of B⁻¹A can be assembled by walking only the rows touched by a
-// sparse BTRAN result, instead of scanning every column.
+// CSR is a row-major (compressed sparse-row) mirror of a Matrix. Row i
+// occupies positions RowPtr[i]..RowPtr[i+1] of ColIdx and Val, with column
+// indices sorted ascending. The revised simplex keeps a CSR mirror of the
+// constraint matrix alongside the CSC original so the pivot row of B⁻¹A can
+// be assembled by walking only the rows touched by a sparse BTRAN result,
+// instead of scanning every column.
 type CSR struct {
 	Rows   int
 	Cols   int
 	RowPtr []int     // length Rows+1
 	ColIdx []int     // length nnz
 	Val    []float64 // length nnz
+
+	next []int // per-row insertion cursor, retained for reassembly
 }
 
-// ToCSR builds the row-major mirror of the matrix. The result shares no
-// storage with the receiver.
-func (m *Matrix) ToCSR() *CSR {
-	c := &CSR{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		RowPtr: make([]int, m.Rows+1),
-		ColIdx: make([]int, len(m.RowIdx)),
-		Val:    make([]float64, len(m.Val)),
+// ToCSR builds the row-major mirror of the matrix into c, reusing its
+// storage (nil allocates a new CSR). The result shares no storage with the
+// receiver.
+func (m *Matrix) ToCSR(c *CSR) *CSR {
+	if c == nil {
+		c = new(CSR)
 	}
+	c.Rows, c.Cols = m.Rows, m.Cols
+	c.RowPtr = resize(c.RowPtr, m.Rows+1)
+	clear(c.RowPtr)
+	c.ColIdx = resize(c.ColIdx, len(m.RowIdx))
+	c.Val = resize(c.Val, len(m.Val))
 	for _, i := range m.RowIdx {
 		c.RowPtr[i+1]++
 	}
 	for i := 0; i < m.Rows; i++ {
 		c.RowPtr[i+1] += c.RowPtr[i]
 	}
-	next := make([]int, m.Rows)
-	copy(next, c.RowPtr[:m.Rows])
+	c.next = resize(c.next, m.Rows)
+	copy(c.next, c.RowPtr[:m.Rows])
 	// Scanning columns in ascending order leaves each row's column indices
 	// sorted ascending.
 	for j := 0; j < m.Cols; j++ {
 		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
 			i := m.RowIdx[p]
-			c.ColIdx[next[i]] = j
-			c.Val[next[i]] = m.Val[p]
-			next[i]++
+			c.ColIdx[c.next[i]] = j
+			c.Val[c.next[i]] = m.Val[p]
+			c.next[i]++
 		}
 	}
 	return c

@@ -8,7 +8,7 @@ import (
 )
 
 func TestNewFromTripletsBasic(t *testing.T) {
-	m, err := NewFromTriplets(3, 2, []Triplet{
+	m, err := NewFromTriplets(nil, 3, 2, []Triplet{
 		{Row: 0, Col: 0, Val: 1},
 		{Row: 2, Col: 0, Val: 3},
 		{Row: 1, Col: 1, Val: -2},
@@ -28,7 +28,7 @@ func TestNewFromTripletsBasic(t *testing.T) {
 }
 
 func TestNewFromTripletsDuplicatesSummed(t *testing.T) {
-	m, err := NewFromTriplets(2, 2, []Triplet{
+	m, err := NewFromTriplets(nil, 2, 2, []Triplet{
 		{Row: 0, Col: 1, Val: 1.5},
 		{Row: 0, Col: 1, Val: 2.5},
 		{Row: 1, Col: 0, Val: 1},
@@ -51,14 +51,14 @@ func TestNewFromTripletsRejectsOutOfRange(t *testing.T) {
 		{Row: 3, Col: 0, Val: 1},
 	}
 	for _, c := range cases {
-		if _, err := NewFromTriplets(3, 3, []Triplet{c}); err == nil {
+		if _, err := NewFromTriplets(nil, 3, 3, []Triplet{c}); err == nil {
 			t.Errorf("expected error for triplet %+v", c)
 		}
 	}
 }
 
 func TestColumnSortedAscending(t *testing.T) {
-	m, err := NewFromTriplets(5, 1, []Triplet{
+	m, err := NewFromTriplets(nil, 5, 1, []Triplet{
 		{Row: 4, Col: 0, Val: 4},
 		{Row: 0, Col: 0, Val: 0.5},
 		{Row: 2, Col: 0, Val: 2},
@@ -84,7 +84,7 @@ func randomMatrix(rng *rand.Rand, rows, cols int, density float64) *Matrix {
 			}
 		}
 	}
-	m, err := NewFromTriplets(rows, cols, trip)
+	m, err := NewFromTriplets(nil, rows, cols, trip)
 	if err != nil {
 		panic(err)
 	}

@@ -26,6 +26,11 @@ type PatternWorkspace struct {
 	topo2  []int     // post-order of the second triangular phase
 	seed   []int     // permuted seed pattern
 	pat    []int     // result pattern handed back to the caller
+
+	// Backing slabs the buffers above are carved from.
+	fslab []float64
+	islab []int
+	bslab []bool
 }
 
 // Ensure sizes the workspace for dimension-n solves. The float64 and int
@@ -34,22 +39,31 @@ type PatternWorkspace struct {
 // crosses a neighbor): two cache-adjacent n-vectors for the numeric
 // substitutions, six for the pattern walk. Each sub-slice has capacity
 // exactly n — the DFS visits each node at most once per phase, so none of
-// the appends can outgrow its segment.
+// the appends can outgrow its segment. The slabs are kept, and re-carved
+// when n changes: the numeric slab and the marks are zero at rest, so a
+// re-carved workspace is indistinguishable from a new one.
 func (ws *PatternWorkspace) Ensure(n int) {
-	if len(ws.x) >= n {
+	if len(ws.mark) == n {
 		return
 	}
-	fs := make([]float64, 2*n)
+	if cap(ws.fslab) < 2*n {
+		// Headroom, because column generation grows the basis a few rows
+		// per round.
+		c := n + n/4
+		ws.fslab = make([]float64, 2*c)
+		ws.islab = make([]int, 6*c)
+		ws.bslab = make([]bool, c)
+	}
+	fs, is := ws.fslab[:2*n], ws.islab[:6*n]
 	ws.x = fs[0*n : 1*n : 1*n]
 	ws.b = fs[1*n : 2*n : 2*n]
-	is := make([]int, 6*n)
 	ws.cursor = is[0*n : 1*n : 1*n]
 	ws.stack = is[1*n : 1*n : 2*n]
 	ws.topo = is[2*n : 2*n : 3*n]
 	ws.topo2 = is[3*n : 3*n : 4*n]
 	ws.seed = is[4*n : 4*n : 5*n]
 	ws.pat = is[5*n : 5*n : 6*n]
-	ws.mark = make([]bool, n)
+	ws.mark = ws.bslab[:n]
 }
 
 // reach appends to topo the post-order of every node reachable from seeds

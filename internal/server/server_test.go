@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -476,6 +479,46 @@ func TestServerSnapshotRestart(t *testing.T) {
 	if !bytes.Equal(rawA, rawB) {
 		t.Error("ledger snapshots differ after restart")
 	}
+}
+
+// TestWriteSnapshotFailure pins the failure leg of the atomic snapshot
+// write: when the snapshot cannot be published, WriteSnapshot reports the
+// error and leaves no temporary file behind, and a later write to a good
+// path still produces a snapshot that restores.
+func TestWriteSnapshotFailure(t *testing.T) {
+	s := testServer(t, Config{Network: testNetwork(t, 4, 100), Charging: netmodel.MaxCharging(16)})
+	if _, err := s.Admit(TransferRequest{Src: 0, Dst: 2, SizeGB: 30, Deadline: 3}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	noTemp := func(path string) {
+		t.Helper()
+		if _, err := os.Stat(path + ".tmp"); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s.tmp left behind (stat: %v)", path, err)
+		}
+	}
+	// Publishing onto a directory fails at the rename; a missing parent
+	// directory fails at creating the temporary file.
+	taken := filepath.Join(dir, "taken")
+	if err := os.Mkdir(taken, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{taken, filepath.Join(dir, "missing", "snap")} {
+		if err := s.WriteSnapshot(bad); err == nil {
+			t.Fatalf("WriteSnapshot(%s) succeeded", bad)
+		}
+		noTemp(bad)
+	}
+	good := filepath.Join(dir, "state.json")
+	if err := s.WriteSnapshot(good); err != nil {
+		t.Fatal(err)
+	}
+	noTemp(good)
+	r, err := RestoreFile(Config{}, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
 }
 
 // TestServerDrain checks both shutdown policies with an open batch: the

@@ -70,14 +70,31 @@ func (s *Server) WriteSnapshot(path string) error {
 	return s.writeSnapshotLocked(path)
 }
 
-func (s *Server) writeSnapshotLocked(path string) error {
-	raw, err := json.MarshalIndent(s.snapshotLocked(), "", " ")
+// writeSnapshotLocked encodes the snapshot as compact JSON straight into a
+// temporary file beside path, syncs it to stable storage, and only then
+// renames it over path, so a crash at any point leaves either the previous
+// snapshot or the complete new one. On failure the temporary file is
+// removed.
+func (s *Server) writeSnapshotLocked(path string) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
+		return fmt.Errorf("server: writing snapshot: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close() // already failed; the close error adds nothing
+			os.Remove(tmp)
+		}
+	}()
+	if err := json.NewEncoder(f).Encode(s.snapshotLocked()); err != nil {
 		return fmt.Errorf("server: encoding snapshot: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-		return fmt.Errorf("server: writing snapshot: %w", err)
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("server: syncing snapshot: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("server: closing snapshot: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("server: publishing snapshot: %w", err)
