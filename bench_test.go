@@ -178,7 +178,7 @@ func BenchmarkFig1Example(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := postcard.Solve(ledger, []postcard.File{file}, 0, nil)
+		res, err := postcard.New().Solve(ledger, []postcard.File{file}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func BenchmarkFig3Example(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := postcard.Solve(ledger, files, 0, nil)
+		res, err := postcard.New().Solve(ledger, files, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func BenchmarkPostcardSolve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := postcard.Solve(ledger, files, 3, nil)
+		res, err := postcard.New().Solve(ledger, files, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,52 +274,34 @@ func BenchmarkPostcardSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowSolve benchmarks the flow-based single-LP baseline on the
-// identical instance, for a like-for-like solver cost comparison.
-func BenchmarkFlowSolve(b *testing.B) {
+// benchScheduler times the named registry scheduler planning the bench
+// instance at slot 3.
+func benchScheduler(b *testing.B, name string) {
 	ledger, files := benchInstance(b, 40)
+	sched, err := postcard.SchedulerByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := postcard.FlowSolve(ledger, files, 3, nil)
-		if err != nil {
+		if _, err := sched.Schedule(ledger, files, 3); err != nil {
 			b.Fatal(err)
-		}
-		if res.Status != postcard.StatusOptimal {
-			b.Fatalf("status %v", res.Status)
 		}
 	}
 }
+
+// BenchmarkFlowSolve benchmarks the flow-based single-LP baseline on the
+// identical instance, for a like-for-like solver cost comparison.
+func BenchmarkFlowSolve(b *testing.B) { benchScheduler(b, "flow-based") }
 
 // BenchmarkFlowTwoPhase benchmarks the paper-literal two-phase
 // decomposition (ablation: decomposition versus the single LP).
-func BenchmarkFlowTwoPhase(b *testing.B) {
-	ledger, files := benchInstance(b, 40)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := postcard.FlowTwoPhaseSolve(ledger, files, 3, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Status != postcard.StatusOptimal {
-			b.Fatalf("status %v", res.Status)
-		}
-	}
-}
+func BenchmarkFlowTwoPhase(b *testing.B) { benchScheduler(b, "flow-two-phase") }
 
 // BenchmarkFlowGreedy benchmarks the combinatorial cheapest-available-path
 // heuristic (ablation: heuristic versus LP optimum).
-func BenchmarkFlowGreedy(b *testing.B) {
-	ledger, files := benchInstance(b, 40)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := postcard.FlowGreedySolve(ledger, files, 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFlowGreedy(b *testing.B) { benchScheduler(b, "flow-greedy") }
 
 // BenchmarkAblationStorage quantifies the value of intermediate
 // store-and-forward: the same instance solved with storage everywhere,
@@ -337,12 +319,12 @@ func BenchmarkAblationStorage(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			ledger, files := benchInstance(b, 40)
-			cfg := &postcard.Config{Storage: tc.policy}
+			client := postcard.New(postcard.WithStoragePolicy(tc.policy))
 			cost := 0.0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := postcard.Solve(ledger, files, 3, cfg)
+				res, err := client.Solve(ledger, files, 3)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -442,7 +424,7 @@ func BenchmarkMaxBulk(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := postcard.MaxBulk(ledger, files, 3, nil); err != nil {
+		if _, err := postcard.MaxBulk(ledger, files, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -454,7 +436,7 @@ func BenchmarkMaxUnderBudget(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := postcard.MaxUnderBudget(ledger, files, 3, 500, nil); err != nil {
+		if _, err := postcard.MaxUnderBudget(ledger, files, 3, 500); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -167,7 +167,7 @@ func defaultInstance() (*postcard.Network, []postcard.File, error) {
 func solve(name string, ledger *postcard.Ledger, files []postcard.File, slot int) (*postcard.Schedule, float64, postcard.SolveStatus, *postcard.Result, error) {
 	switch name {
 	case "postcard":
-		res, err := postcard.Solve(ledger, files, slot, nil)
+		res, err := postcard.New().Solve(ledger, files, slot)
 		if err != nil {
 			return nil, 0, 0, nil, err
 		}

@@ -7,10 +7,10 @@ import (
 	"github.com/interdc/postcard"
 )
 
-// ExampleSolve reproduces the paper's Fig. 3 worked example: two files,
-// four datacenters, and an optimal plan that stores data at an
+// ExampleClient_Solve reproduces the paper's Fig. 3 worked example: two
+// files, four datacenters, and an optimal plan that stores data at an
 // intermediate datacenter to ride an already-paid link.
-func ExampleSolve() {
+func ExampleClient_Solve() {
 	nw, files, err := postcard.Fig3Topology(0)
 	if err != nil {
 		log.Fatal(err)
@@ -19,7 +19,7 @@ func ExampleSolve() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := postcard.Solve(ledger, files, 0, nil)
+	res, err := postcard.New().Solve(ledger, files, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,9 +27,9 @@ func ExampleSolve() {
 	// Output: cost per interval: 32.67
 }
 
-// ExampleFlowSolve runs the paper's flow-based baseline on the same
-// instance.
-func ExampleFlowSolve() {
+// ExampleSchedulerByName runs the paper's flow-based baseline on the same
+// instance and commits its plan.
+func ExampleSchedulerByName() {
 	nw, files, err := postcard.Fig3Topology(0)
 	if err != nil {
 		log.Fatal(err)
@@ -38,11 +38,18 @@ func ExampleFlowSolve() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := postcard.FlowSolve(ledger, files, 0, nil)
+	flow, err := postcard.SchedulerByName("flow-based")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("cost per interval: %.2f\n", res.CostPerSlot)
+	plan, err := flow.Schedule(ledger, files, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := plan.Apply(ledger); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("cost per interval: %.2f\n", ledger.CostPerSlot())
 	// Output: cost per interval: 50.00
 }
 
@@ -62,7 +69,7 @@ func ExampleMaxBulk() {
 		log.Fatal(err)
 	}
 	files := []postcard.File{{ID: 1, Src: 0, Dst: 1, Size: 100, Deadline: 3, Release: 1}}
-	res, err := postcard.MaxBulk(ledger, files, 1, nil)
+	res, err := postcard.MaxBulk(ledger, files, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

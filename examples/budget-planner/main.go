@@ -47,7 +47,7 @@ func main() {
 			log.Fatal(err)
 		}
 		// Whole-file admission (greedy, smallest first).
-		ids, res, err := postcard.AdmitFiles(ledger, requests, 0, budget, nil)
+		ids, res, err := postcard.AdmitFiles(ledger, requests, 0, budget)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func main() {
 			admittedGB += res.Delivered[id]
 		}
 		// Fractional upper bound: the LP relaxation's max volume.
-		frac, err := postcard.MaxUnderBudget(ledger, requests, 0, budget, nil)
+		frac, err := postcard.MaxUnderBudget(ledger, requests, 0, budget)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -60,7 +60,7 @@ func main() {
 		offered += f.Size
 	}
 
-	res, err := postcard.MaxBulk(ledger, backups, 4, nil)
+	res, err := postcard.MaxBulk(ledger, backups, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,24 +35,12 @@ func main() {
 	fmt.Println()
 
 	// 1. No routing, no scheduling: each file takes its direct link.
-	direct := mustCost(nw, files, func(l *postcard.Ledger) (*postcard.Schedule, float64) {
-		res, err := postcard.FlowDirectSolve(l, files, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res.Schedule, res.CostPerSlot
-	})
+	direct := registryCost(nw, files, "direct")
 	fmt.Printf("direct (no routing/scheduling): %.2f per interval\n", direct)
 
 	// 2. The flow-based model: multi-path routing, constant rates, no
 	// storage. File 2 saturates D1->D4, forcing File 1 onto D2->D3->D4.
-	flow := mustCost(nw, files, func(l *postcard.Ledger) (*postcard.Schedule, float64) {
-		res, err := postcard.FlowSolve(l, files, 0, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res.Schedule, res.CostPerSlot
-	})
+	flow := registryCost(nw, files, "flow-based")
 	fmt.Printf("flow-based:                     %.2f per interval\n", flow)
 
 	// 3. Postcard: the LP on the time-expanded graph. File 1 trickles over
@@ -62,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := postcard.Solve(ledger, files, 0, nil)
+	res, err := postcard.New().Solve(ledger, files, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,17 +73,24 @@ func main() {
 	fmt.Printf("savings vs direct: %.1f%%\n", 100*(direct-res.CostPerSlot)/direct)
 }
 
-// mustCost runs a scheduler on a fresh ledger and returns the resulting
-// cost per interval.
-func mustCost(nw *postcard.Network, files []postcard.File,
-	solve func(*postcard.Ledger) (*postcard.Schedule, float64)) float64 {
+// registryCost plans the files with the named registry scheduler on a
+// fresh ledger, commits the plan, and returns the resulting cost per
+// interval.
+func registryCost(nw *postcard.Network, files []postcard.File, name string) float64 {
 	ledger, err := postcard.NewLedger(nw, postcard.MaxCharging(100))
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, cost := solve(ledger)
+	sched, err := postcard.SchedulerByName(name)
+	if err != nil {
+		log.Fatal(err)
+	}
+	plan, err := sched.Schedule(ledger, files, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := plan.Apply(ledger); err != nil {
 		log.Fatal(err)
 	}
-	return cost
+	return ledger.CostPerSlot()
 }

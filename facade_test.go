@@ -5,11 +5,13 @@ import (
 	"testing"
 
 	"github.com/interdc/postcard"
+	"github.com/interdc/postcard/internal/core"
 )
 
 // TestClientOptionsMatchSolve pins the functional-options client against
-// the plain Solve surface: a zero-option client must reproduce the default
-// solve exactly, and a path-pricing client must agree on the objective.
+// the core optimizer: a zero-option client must reproduce the default solve
+// exactly, a storage option must reach the solver, and a path-pricing
+// client must agree on the objective.
 func TestClientOptionsMatchSolve(t *testing.T) {
 	build := func() (*postcard.Ledger, []postcard.File) {
 		nw, files, err := postcard.Fig3Topology(0)
@@ -24,7 +26,7 @@ func TestClientOptionsMatchSolve(t *testing.T) {
 	}
 
 	ledger, files := build()
-	ref, err := postcard.Solve(ledger, files, 0, nil)
+	ref, err := core.Solve(ledger, files, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func TestClientOptionsMatchSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Status != ref.Status || got.CostPerSlot != ref.CostPerSlot {
-		t.Errorf("zero-option client: status %v cost %v, plain Solve %v %v",
+		t.Errorf("zero-option client: status %v cost %v, core.Solve %v %v",
 			got.Status, got.CostPerSlot, ref.Status, ref.CostPerSlot)
 	}
 
@@ -57,9 +59,22 @@ func TestClientOptionsMatchSolve(t *testing.T) {
 		}
 	}
 
-	cfg := postcard.New(postcard.WithStoragePolicy(postcard.StorageNone), postcard.WithEpsilon(1e-5)).Config()
-	if cfg.Storage != postcard.StorageNone || cfg.Epsilon != 1e-5 {
-		t.Errorf("options not reflected in Config(): %+v", cfg)
+	ledger, files = build()
+	noStore, err := core.Solve(ledger, files, 0, &core.Config{Storage: core.StorageNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger, files = build()
+	got, err = postcard.New(postcard.WithStoragePolicy(postcard.StorageNone)).Solve(ledger, files, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Status != noStore.Status || got.CostPerSlot != noStore.CostPerSlot {
+		t.Errorf("no-storage client: status %v cost %v, core.Solve %v %v",
+			got.Status, got.CostPerSlot, noStore.Status, noStore.CostPerSlot)
+	}
+	if noStore.CostPerSlot == ref.CostPerSlot {
+		t.Errorf("storage policy changed nothing: cost %v either way", ref.CostPerSlot)
 	}
 }
 

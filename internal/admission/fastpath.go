@@ -121,10 +121,10 @@ func nodeLess(a, b *searchNode) bool {
 
 type searchHeap []*searchNode
 
-func (h searchHeap) Len() int            { return len(h) }
-func (h searchHeap) Less(i, j int) bool  { return nodeLess(h[i], h[j]) }
-func (h searchHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *searchHeap) Push(x any)         { *h = append(*h, x.(*searchNode)) }
+func (h searchHeap) Len() int           { return len(h) }
+func (h searchHeap) Less(i, j int) bool { return nodeLess(h[i], h[j]) }
+func (h searchHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *searchHeap) Push(x any)        { *h = append(*h, x.(*searchNode)) }
 func (h *searchHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -33,7 +33,7 @@ func TestPrepareRecycledAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conf := (*Config)(nil).withDefaults()
+	conf := Config{}
 	b, err := prepare(tg, ledger, files, conf, nil)
 	if err != nil {
 		t.Fatal(err)

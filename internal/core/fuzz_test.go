@@ -27,8 +27,8 @@ func FuzzPrunedModelObjective(f *testing.F) {
 	f.Add(int64(4), uint8(8), uint8(7), uint8(25), uint8(90), true)
 	f.Add(int64(5), uint8(5), uint8(4), uint8(8), uint8(50), false)
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, filesRaw, capRaw, loadRaw uint8, tight bool) {
-		n := 3 + int(nRaw)%6                // 3-8 datacenters
-		nFiles := 1 + int(filesRaw)%6       // 1-6 files
+		n := 3 + int(nRaw)%6                     // 3-8 datacenters
+		nFiles := 1 + int(filesRaw)%6            // 1-6 files
 		capacity := 4 + float64(int(capRaw)%200) // GB/slot
 		rng := rand.New(rand.NewSource(seed))
 
@@ -96,9 +96,9 @@ func FuzzPrunedModelObjective(f *testing.F) {
 		solveAt := 0
 
 		configs := []Config{
-			{},                           // pruning + column generation (default)
-			{DisableColGen: true},        // pruning only
-			{DisablePruning: true},       // column generation only
+			{},                     // pruning + column generation (default)
+			{DisableColGen: true},  // pruning only
+			{DisablePruning: true}, // column generation only
 			{DisableColGen: true, DisablePruning: true}, // full model
 		}
 		results := make([]*Result, len(configs))

@@ -336,7 +336,7 @@ func (pb *pathBuilder) pricingWorkers() int {
 // finder, leaving the result in the per-file buffers.
 func (pb *pathBuilder) priceFile(k int, y []float64, finder *timegraph.PathFinder) {
 	f := pb.files[k]
-	eps := pb.conf.Epsilon
+	eps := netmodel.Epsilon
 	weight := func(e *timegraph.Edge) float64 {
 		if e.Storage {
 			switch pb.conf.Storage {
@@ -562,7 +562,7 @@ func (pb *pathBuilder) materializePath(k int, edges []int32) error {
 		pb.conBuf = append(pb.conBuf, capID, chargeID)
 		pb.cofBuf = append(pb.cofBuf, 1, 1)
 	}
-	v, err := pb.model.AddColumn(0, math.Inf(1), pb.conf.Epsilon*float64(transfers), "", pb.conBuf, pb.cofBuf)
+	v, err := pb.model.AddColumn(0, math.Inf(1), netmodel.Epsilon*float64(transfers), "", pb.conBuf, pb.cofBuf)
 	if err != nil {
 		return err
 	}
@@ -693,14 +693,12 @@ func (pb *pathBuilder) solve(opts *lp.Options) (res *Result, sol *lp.Solution, f
 	}
 	res.Schedule = pb.extractSchedule(sol)
 	res.CostPerSlot = pb.chargedCost(sol)
-	if !pb.conf.SkipVerify {
-		vc := schedule.VerifyConfig{
-			Residual: func(i, j netmodel.DC, slot int) float64 { return pb.ledger.Residual(i, j, slot) },
-			Tol:      1e-4, // GB; matches LP tolerance noise on multi-GB files
-		}
-		if err := schedule.Verify(res.Schedule, pb.tg.Network(), pb.files, vc); err != nil {
-			return nil, nil, false, fmt.Errorf("core: path optimizer produced an invalid schedule: %w", err)
-		}
+	vc := schedule.VerifyConfig{
+		Residual: func(i, j netmodel.DC, slot int) float64 { return pb.ledger.Residual(i, j, slot) },
+		Tol:      1e-4, // GB; matches LP tolerance noise on multi-GB files
+	}
+	if err := schedule.Verify(res.Schedule, pb.tg.Network(), pb.files, vc); err != nil {
+		return nil, nil, false, fmt.Errorf("core: path optimizer produced an invalid schedule: %w", err)
 	}
 	return res, sol, false, nil
 }

@@ -42,16 +42,8 @@ const (
 
 // Config tunes the optimizer. The zero value selects defaults.
 type Config struct {
-	// Epsilon is the weight of the secondary traffic-minimization term that
-	// breaks ties among cost-equal optima (it discourages gratuitous
-	// traffic riding below the charged peak). Default 1e-6.
-	Epsilon float64
 	// Storage selects where holdovers are permitted.
 	Storage StoragePolicy
-	// LP overrides solver options.
-	LP *lp.Options
-	// SkipVerify disables the independent schedule verification pass.
-	SkipVerify bool
 	// DisableColGen materializes the entire pruned variable universe up
 	// front instead of starting from a restricted master (crash-route and
 	// storage columns) and generating the remaining columns on demand.
@@ -77,18 +69,12 @@ type Config struct {
 	PricingWorkers int
 }
 
-func (c *Config) withDefaults() Config {
-	out := Config{}
-	if c != nil {
-		out = *c
+// orZero returns a copy of *c, or the zero Config when c is nil.
+func (c *Config) orZero() Config {
+	if c == nil {
+		return Config{}
 	}
-	if out.Epsilon <= 0 {
-		out.Epsilon = 1e-6
-	}
-	if out.LP == nil {
-		out.LP = &lp.Options{}
-	}
-	return out
+	return *c
 }
 
 // Result is the outcome of one Postcard optimization.
@@ -173,7 +159,7 @@ func (e *UnroutableError) Error() string {
 // Solver, which reuses the graph skeleton and warm-starts consecutive
 // solves from each other's bases.
 func Solve(ledger *netmodel.Ledger, files []netmodel.File, t int, cfg *Config) (*Result, error) {
-	conf := cfg.withDefaults()
+	conf := cfg.orZero()
 	if len(files) == 0 {
 		return emptyResult(ledger), nil
 	}
@@ -192,14 +178,8 @@ func Solve(ledger *netmodel.Ledger, files []netmodel.File, t int, cfg *Config) (
 	if err != nil {
 		return nil, err
 	}
-	opts := *conf.LP
-	crashed := false
-	if opts.InitialBasis == nil {
-		opts.InitialBasis = crashBasis(b)
-		crashed = true
-	}
-	res, _, err := b.solve(&opts)
-	if res != nil && crashed {
+	res, _, err := b.solve(&lp.Options{InitialBasis: crashBasis(b)})
+	if res != nil {
 		// The synthesized crash basis is an internal acceleration, not a
 		// caller-provided warm start; keep the stateless contract visible.
 		res.WarmStarted = false
@@ -290,19 +270,11 @@ func solvePathStateless(tg *timegraph.Graph, ledger *netmodel.Ledger, files []ne
 	if err := pb.build(); err != nil {
 		return nil, err
 	}
-	opts := *conf.LP
-	crashed := false
-	if opts.InitialBasis == nil {
-		opts.InitialBasis = pathCrashBasis(pb)
-		crashed = true
-	}
-	res, _, fallback, err := pb.solve(&opts)
+	res, _, fallback, err := pb.solve(&lp.Options{InitialBasis: pathCrashBasis(pb)})
 	if err != nil {
 		return nil, err
 	}
-	if crashed {
-		res.WarmStarted = false
-	}
+	res.WarmStarted = false
 	if !fallback {
 		return res, nil
 	}
@@ -317,9 +289,7 @@ func solveArcFallback(tg *timegraph.Graph, ledger *netmodel.Ledger, files []netm
 	if err := b.build(); err != nil {
 		return nil, err
 	}
-	opts := *conf.LP
-	opts.InitialBasis = crashBasis(b)
-	res, _, err := b.solve(&opts)
+	res, _, err := b.solve(&lp.Options{InitialBasis: crashBasis(b)})
 	if err != nil {
 		return nil, err
 	}
@@ -363,14 +333,12 @@ func (b *builder) solve(opts *lp.Options) (*Result, *lp.Solution, error) {
 	}
 	res.Schedule = b.extractSchedule(sol)
 	res.CostPerSlot = b.chargedCost(sol)
-	if !b.conf.SkipVerify {
-		vc := schedule.VerifyConfig{
-			Residual: func(i, j netmodel.DC, slot int) float64 { return b.ledger.Residual(i, j, slot) },
-			Tol:      1e-4, // GB; matches LP tolerance noise on multi-GB files
-		}
-		if err := schedule.Verify(res.Schedule, b.tg.Network(), b.files, vc); err != nil {
-			return nil, nil, fmt.Errorf("core: optimizer produced an invalid schedule: %w", err)
-		}
+	vc := schedule.VerifyConfig{
+		Residual: func(i, j netmodel.DC, slot int) float64 { return b.ledger.Residual(i, j, slot) },
+		Tol:      1e-4, // GB; matches LP tolerance noise on multi-GB files
+	}
+	if err := schedule.Verify(res.Schedule, b.tg.Network(), b.files, vc); err != nil {
+		return nil, nil, fmt.Errorf("core: optimizer produced an invalid schedule: %w", err)
 	}
 	return res, sol, nil
 }
@@ -503,7 +471,7 @@ func (b *builder) addMVar(k int, e timegraph.Edge) lp.VarID {
 	f := b.files[k]
 	obj := 0.0
 	if !e.Storage {
-		obj = b.conf.Epsilon
+		obj = netmodel.Epsilon
 	}
 	v := b.model.AddVariable(0, f.Size, obj, "")
 	b.mvars[k][e.Index] = v
@@ -779,7 +747,7 @@ func (b *builder) Price(c int, y []float64) float64 {
 	d := b.delayed[c]
 	e := b.tg.Edge(int(d.edge))
 	out, in := b.consRows(d)
-	return b.conf.Epsilon -
+	return netmodel.Epsilon -
 		y[b.capRow[e.Index]] - y[b.chargeRow[e.Index]] -
 		y[out] + y[in]
 }
@@ -805,7 +773,7 @@ func (b *builder) Materialize(m *lp.Model, c int) (lp.VarID, error) {
 	out, in := b.consRows(d)
 	b.colCons[0], b.colCons[1], b.colCons[2], b.colCons[3] =
 		b.capRow[e.Index], b.chargeRow[e.Index], out, in
-	v, err := m.AddColumn(0, f.Size, b.conf.Epsilon, "", b.colCons[:], colCoef[:])
+	v, err := m.AddColumn(0, f.Size, netmodel.Epsilon, "", b.colCons[:], colCoef[:])
 	if err != nil {
 		return -1, err
 	}

@@ -106,7 +106,7 @@ type Solver struct {
 // NewSolver creates an incremental solver with the given configuration
 // (nil selects defaults, exactly as Solve does).
 func NewSolver(cfg *Config) *Solver {
-	return &Solver{conf: cfg.withDefaults()}
+	return &Solver{conf: cfg.orZero()}
 }
 
 // Stats returns the cumulative work counters.
@@ -160,8 +160,7 @@ func (s *Solver) Solve(ledger *netmodel.Ledger, files []netmodel.File, t int) (*
 		return nil, err
 	}
 	s.bld = b
-	opts := *s.conf.LP
-	opts.Presolve = true
+	opts := lp.Options{Presolve: true}
 	snapshot := false
 	if s.valid && s.basis != nil {
 		opts.InitialBasis = s.mapBasis(b)
@@ -209,8 +208,7 @@ func (s *Solver) solvePath(tg *timegraph.Graph, ledger *netmodel.Ledger, files [
 	if err != nil {
 		return nil, err
 	}
-	opts := *s.conf.LP
-	opts.Presolve = true
+	opts := lp.Options{Presolve: true}
 	snapshot := false
 	if s.valid && s.basis != nil {
 		if out, rowStat := s.mapKeys(pb.colKeys, pb.rowKeys); out != nil {

@@ -26,25 +26,6 @@ import (
 	"github.com/interdc/postcard/internal/timegraph"
 )
 
-// Config tunes the extension solvers. The zero value selects defaults.
-type Config struct {
-	// Epsilon is the tie-breaking traffic-minimization weight, default 1e-6.
-	Epsilon float64
-	// LP overrides solver options.
-	LP *lp.Options
-}
-
-func (c *Config) withDefaults() Config {
-	out := Config{}
-	if c != nil {
-		out = *c
-	}
-	if out.Epsilon <= 0 {
-		out.Epsilon = 1e-6
-	}
-	return out
-}
-
 // Result is the outcome of an extension optimization.
 type Result struct {
 	// Schedule realizes the (possibly partial) transfers.
@@ -68,9 +49,8 @@ type capacityFunc func(i, j netmodel.DC, slot int) float64
 // charging scheme has already billed but that current commitments leave
 // idle. The resulting plan is free: committing it does not change the
 // charged cost.
-func MaxBulk(ledger *netmodel.Ledger, files []netmodel.File, t int, cfg *Config) (*Result, error) {
-	conf := cfg.withDefaults()
-	return solveMaxVolume(ledger, files, t, conf,
+func MaxBulk(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result, error) {
+	return solveMaxVolume(ledger, files, t,
 		func(i, j netmodel.DC, slot int) float64 { return ledger.PaidHeadroom(i, j, slot) },
 		nil)
 }
@@ -79,18 +59,17 @@ func MaxBulk(ledger *netmodel.Ledger, files []netmodel.File, t int, cfg *Config)
 // interval staying at or below budgetPerSlot (the paper's budget B divided
 // by the charging-period length). Full residual capacities are available;
 // the budget is what limits spending.
-func MaxUnderBudget(ledger *netmodel.Ledger, files []netmodel.File, t int, budgetPerSlot float64, cfg *Config) (*Result, error) {
+func MaxUnderBudget(ledger *netmodel.Ledger, files []netmodel.File, t int, budgetPerSlot float64) (*Result, error) {
 	if budgetPerSlot < 0 || math.IsNaN(budgetPerSlot) {
 		return nil, fmt.Errorf("extensions: invalid budget %v", budgetPerSlot)
 	}
-	conf := cfg.withDefaults()
-	return solveMaxVolume(ledger, files, t, conf,
+	return solveMaxVolume(ledger, files, t,
 		func(i, j netmodel.DC, slot int) float64 { return ledger.Residual(i, j, slot) },
 		&budgetPerSlot)
 }
 
 // solveMaxVolume builds and solves the shared time-expanded LP.
-func solveMaxVolume(ledger *netmodel.Ledger, files []netmodel.File, t int, conf Config,
+func solveMaxVolume(ledger *netmodel.Ledger, files []netmodel.File, t int,
 	capacity capacityFunc, budgetPerSlot *float64) (*Result, error) {
 
 	nw := ledger.Network()
@@ -148,7 +127,7 @@ func solveMaxVolume(ledger *netmodel.Ledger, files []netmodel.File, t int, conf 
 			}
 			obj := 0.0
 			if !e.Storage {
-				obj = -conf.Epsilon
+				obj = -netmodel.Epsilon
 			}
 			mvars[k][e.Index] = m.AddVariable(0, f.Size, obj,
 				fmt.Sprintf("M_f%d_%d>%d@%d", f.ID, int(e.From), int(e.To), e.Slot))
@@ -265,7 +244,7 @@ func solveMaxVolume(ledger *netmodel.Ledger, files []netmodel.File, t int, conf 
 			}
 		}
 	}
-	sol, err := m.Solve(conf.LP)
+	sol, err := m.Solve(nil)
 	if err != nil {
 		return nil, fmt.Errorf("extensions: solving max-volume LP: %w", err)
 	}
@@ -325,7 +304,7 @@ func solveMaxVolume(ledger *netmodel.Ledger, files []netmodel.File, t int, conf 
 // the final plan. Greedy by size is a heuristic — the exact problem is an
 // integer program — but it matches the provider's goal of satisfying as
 // many requests as possible.
-func AdmitFiles(ledger *netmodel.Ledger, files []netmodel.File, t int, budgetPerSlot float64, cfg *Config) ([]int, *Result, error) {
+func AdmitFiles(ledger *netmodel.Ledger, files []netmodel.File, t int, budgetPerSlot float64) ([]int, *Result, error) {
 	order := make([]netmodel.File, len(files))
 	copy(order, files)
 	sort.Slice(order, func(i, j int) bool {
@@ -339,7 +318,7 @@ func AdmitFiles(ledger *netmodel.Ledger, files []netmodel.File, t int, budgetPer
 	var best *Result
 	for _, f := range order {
 		trial := append(append([]netmodel.File(nil), admitted...), f)
-		res, err := MaxUnderBudget(ledger, trial, t, budgetPerSlot, cfg)
+		res, err := MaxUnderBudget(ledger, trial, t, budgetPerSlot)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -24,7 +24,7 @@ func TestMaxBulkNoHeadroomDeliversNothing(t *testing.T) {
 	}
 	ledger := newLedger(t, nw) // empty: nothing has been paid for yet
 	files := []netmodel.File{{ID: 1, Src: 0, Dst: 1, Size: 10, Deadline: 3, Release: 0}}
-	res, err := MaxBulk(ledger, files, 0, nil)
+	res, err := MaxBulk(ledger, files, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestMaxBulkRidesPaidLinks(t *testing.T) {
 	}
 	baseCost := ledger.CostPerSlot()
 	files := []netmodel.File{{ID: 1, Src: 0, Dst: 1, Size: 100, Deadline: 3, Release: 1}}
-	res, err := MaxBulk(ledger, files, 1, nil)
+	res, err := MaxBulk(ledger, files, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestMaxBulkMultiHopHeadroom(t *testing.T) {
 		t.Fatal(err)
 	}
 	files := []netmodel.File{{ID: 1, Src: 0, Dst: 1, Size: 100, Deadline: 3, Release: 1}}
-	res, err := MaxBulk(ledger, files, 1, nil)
+	res, err := MaxBulk(ledger, files, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestMaxUnderBudgetZeroBudget(t *testing.T) {
 	}
 	ledger := newLedger(t, nw)
 	files := []netmodel.File{{ID: 1, Src: 0, Dst: 1, Size: 10, Deadline: 2, Release: 0}}
-	res, err := MaxUnderBudget(ledger, files, 0, 0, nil)
+	res, err := MaxUnderBudget(ledger, files, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestMaxUnderBudgetScalesWithBudget(t *testing.T) {
 	files := []netmodel.File{{ID: 1, Src: 0, Dst: 1, Size: 40, Deadline: 2, Release: 0}}
 	// Direct path price 2: delivering v GB over 2 slots costs 2*(v/2) = v
 	// per slot at best (peak v/2 on the direct link).
-	small, err := MaxUnderBudget(ledger, files, 0, 10, nil)
+	small, err := MaxUnderBudget(ledger, files, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := MaxUnderBudget(ledger, files, 0, 100, nil)
+	big, err := MaxUnderBudget(ledger, files, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestMaxUnderBudgetInfeasibleWhenAlreadyOverBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	files := []netmodel.File{{ID: 1, Src: 0, Dst: 1, Size: 1, Deadline: 1, Release: 1}}
-	res, err := MaxUnderBudget(ledger, files, 1, 10, nil)
+	res, err := MaxUnderBudget(ledger, files, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestMaxUnderBudgetRejectsNegativeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ledger := newLedger(t, nw)
-	if _, err := MaxUnderBudget(ledger, nil, 0, -1, nil); err == nil {
+	if _, err := MaxUnderBudget(ledger, nil, 0, -1); err == nil {
 		t.Error("expected error for negative budget")
 	}
 }
@@ -186,7 +186,7 @@ func TestAdmitFilesGreedy(t *testing.T) {
 	// Budget 12/slot. Cheapest delivery of file k costs ~Size/Deadline per
 	// slot on its direct link (price 1). Sizes per slot: 5, 15, 3.
 	// Greedy admits 3 (3) then 1 (5+3=8); adding 2 needs 15 more -> over.
-	ids, res, err := AdmitFiles(ledger, files, 0, 12, nil)
+	ids, res, err := AdmitFiles(ledger, files, 0, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestAdmitFilesNoneFit(t *testing.T) {
 	}
 	ledger := newLedger(t, nw)
 	files := []netmodel.File{{ID: 1, Src: 0, Dst: 1, Size: 50, Deadline: 1, Release: 0}}
-	ids, res, err := AdmitFiles(ledger, files, 0, 5, nil)
+	ids, res, err := AdmitFiles(ledger, files, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +235,8 @@ func TestEmptyFilesExtensions(t *testing.T) {
 	}
 	ledger := newLedger(t, nw)
 	for name, fn := range map[string]func() (*Result, error){
-		"bulk":   func() (*Result, error) { return MaxBulk(ledger, nil, 0, nil) },
-		"budget": func() (*Result, error) { return MaxUnderBudget(ledger, nil, 0, 5, nil) },
+		"bulk":   func() (*Result, error) { return MaxBulk(ledger, nil, 0) },
+		"budget": func() (*Result, error) { return MaxUnderBudget(ledger, nil, 0, 5) },
 	} {
 		res, err := fn()
 		if err != nil {

@@ -48,25 +48,6 @@ type Result struct {
 	Status lp.Status
 }
 
-// Config tunes the LP-based schedulers. The zero value selects defaults.
-type Config struct {
-	// Epsilon is the tie-breaking traffic-minimization weight, default 1e-6.
-	Epsilon float64
-	// LP overrides solver options.
-	LP *lp.Options
-}
-
-func (c *Config) withDefaults() Config {
-	out := Config{}
-	if c != nil {
-		out = *c
-	}
-	if out.Epsilon <= 0 {
-		out.Epsilon = 1e-6
-	}
-	return out
-}
-
 // active reports whether file f occupies the network during slot n.
 func active(f netmodel.File, n int) bool {
 	return n >= f.Release && n < f.Release+f.Deadline
@@ -99,8 +80,7 @@ func validateFiles(nw *netmodel.Network, files []netmodel.File, t int) error {
 // sum price*X subject to static per-file conservation, per-slot link
 // capacity, and the charged-volume epigraph rows. It is the strongest
 // possible scheduler within the no-storage flow model.
-func Solve(ledger *netmodel.Ledger, files []netmodel.File, t int, cfg *Config) (*Result, error) {
-	conf := cfg.withDefaults()
+func Solve(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result, error) {
 	nw := ledger.Network()
 	if err := validateFiles(nw, files, t); err != nil {
 		return nil, err
@@ -109,7 +89,7 @@ func Solve(ledger *netmodel.Ledger, files []netmodel.File, t int, cfg *Config) (
 		return emptyResult(ledger), nil
 	}
 	m := lp.NewModel()
-	fvars, links := addFlowVars(m, nw, files, conf.Epsilon)
+	fvars, links := addFlowVars(m, nw, files)
 	xvars := addChargeVars(m, ledger, links)
 	if err := addConservation(m, nw, files, fvars); err != nil {
 		return nil, err
@@ -117,7 +97,7 @@ func Solve(ledger *netmodel.Ledger, files []netmodel.File, t int, cfg *Config) (
 	if err := addSlotRows(m, ledger, files, fvars, xvars, links, t, nil); err != nil {
 		return nil, err
 	}
-	sol, err := m.Solve(conf.LP)
+	sol, err := m.Solve(nil)
 	if err != nil {
 		return nil, fmt.Errorf("flowbased: solving flow LP: %w", err)
 	}
@@ -139,7 +119,7 @@ func emptyResult(ledger *netmodel.Ledger) *Result {
 
 // addFlowVars creates one rate variable per (file, link) and returns them
 // along with the link list.
-func addFlowVars(m *lp.Model, nw *netmodel.Network, files []netmodel.File, eps float64) (map[int]map[netmodel.Link]lp.VarID, []netmodel.Link) {
+func addFlowVars(m *lp.Model, nw *netmodel.Network, files []netmodel.File) (map[int]map[netmodel.Link]lp.VarID, []netmodel.Link) {
 	var links []netmodel.Link
 	nw.Links(func(l netmodel.Link, _, _ float64) { links = append(links, l) })
 	fvars := make(map[int]map[netmodel.Link]lp.VarID, len(files))
@@ -147,7 +127,7 @@ func addFlowVars(m *lp.Model, nw *netmodel.Network, files []netmodel.File, eps f
 		vars := make(map[netmodel.Link]lp.VarID, len(links))
 		for _, l := range links {
 			vars[l] = m.AddVariable(0, f.DesiredRate()*float64(nw.NumDCs()),
-				eps, fmt.Sprintf("f%d_%s", f.ID, l))
+				netmodel.Epsilon, fmt.Sprintf("f%d_%s", f.ID, l))
 		}
 		fvars[f.ID] = vars
 	}

@@ -28,7 +28,7 @@ func TestFig3FlowBased(t *testing.T) {
 		t.Fatal(err)
 	}
 	ledger := newLedger(t, nw)
-	res, err := Solve(ledger, files, 3, nil)
+	res, err := Solve(ledger, files, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFig3TwoPhaseMatchesSingleLP(t *testing.T) {
 	ledger := newLedger(t, nw)
 	// Empty ledger: no paid headroom, so phase 1 is trivial and phase 2
 	// must equal the single LP.
-	tp, err := SolveTwoPhase(ledger, files, 3, nil)
+	tp, err := SolveTwoPhase(ledger, files, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestFlowInfeasibleWhenRatesExceedCapacity(t *testing.T) {
 	}
 	ledger := newLedger(t, nw)
 	files := []netmodel.File{{ID: 1, Src: 0, Dst: 1, Size: 10, Deadline: 2, Release: 0}}
-	res, err := Solve(ledger, files, 0, nil)
+	res, err := Solve(ledger, files, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestTwoPhaseUsesPaidHeadroom(t *testing.T) {
 	}
 	baseCost := ledger.CostPerSlot() // 5 * 10
 	files := []netmodel.File{{ID: 1, Src: 0, Dst: 1, Size: 16, Deadline: 2, Release: 1}}
-	res, err := SolveTwoPhase(ledger, files, 1, nil)
+	res, err := SolveTwoPhase(ledger, files, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +207,11 @@ func TestSingleLPDominatesTwoPhase(t *testing.T) {
 				Size: 1 + 20*rng.Float64(), Deadline: 1 + rng.Intn(3), Release: 2,
 			})
 		}
-		single, err := Solve(ledger, files, 2, nil)
+		single, err := Solve(ledger, files, 2)
 		if err != nil {
 			t.Fatalf("trial %d: single: %v", trial, err)
 		}
-		two, err := SolveTwoPhase(ledger, files, 2, nil)
+		two, err := SolveTwoPhase(ledger, files, 2)
 		if err != nil {
 			t.Fatalf("trial %d: two-phase: %v", trial, err)
 		}
@@ -243,7 +243,7 @@ func TestGreedyNeverBeatsLP(t *testing.T) {
 				Size: 1 + 15*rng.Float64(), Deadline: 1 + rng.Intn(3), Release: 0,
 			})
 		}
-		lpRes, err := Solve(ledger, files, 0, nil)
+		lpRes, err := Solve(ledger, files, 0)
 		if err != nil || lpRes.Status != lp.Optimal {
 			continue
 		}
@@ -263,7 +263,7 @@ func TestScheduleVolumesMatchRates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ledger := newLedger(t, nw)
-	res, err := Solve(ledger, files, 0, nil)
+	res, err := Solve(ledger, files, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,8 +306,8 @@ func TestEmptyFilesAllSchedulers(t *testing.T) {
 	}
 	ledger := newLedger(t, nw)
 	for name, fn := range map[string]func() (*Result, error){
-		"solve":    func() (*Result, error) { return Solve(ledger, nil, 0, nil) },
-		"twophase": func() (*Result, error) { return SolveTwoPhase(ledger, nil, 0, nil) },
+		"solve":    func() (*Result, error) { return Solve(ledger, nil, 0) },
+		"twophase": func() (*Result, error) { return SolveTwoPhase(ledger, nil, 0) },
 		"greedy":   func() (*Result, error) { return SolveGreedy(ledger, nil, 0) },
 		"direct":   func() (*Result, error) { return Direct(ledger, nil, 0) },
 	} {

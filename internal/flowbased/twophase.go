@@ -19,8 +19,7 @@ import (
 // The single-LP Solve dominates this decomposition by construction; tests
 // assert cost(Solve) <= cost(SolveTwoPhase). The decomposition is kept as
 // the paper-literal algorithm and for ablation studies.
-func SolveTwoPhase(ledger *netmodel.Ledger, files []netmodel.File, t int, cfg *Config) (*Result, error) {
-	conf := cfg.withDefaults()
+func SolveTwoPhase(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result, error) {
 	nw := ledger.Network()
 	if err := validateFiles(nw, files, t); err != nil {
 		return nil, err
@@ -29,11 +28,11 @@ func SolveTwoPhase(ledger *netmodel.Ledger, files []netmodel.File, t int, cfg *C
 		return emptyResult(ledger), nil
 	}
 
-	lambda, f1, err := solveConcurrentPhase(ledger, files, t, conf)
+	lambda, f1, err := solveConcurrentPhase(ledger, files, t)
 	if err != nil {
 		return nil, err
 	}
-	f2, status, sol2, _, xvars, err := solveResidualPhase(ledger, files, t, conf, lambda, f1)
+	f2, status, sol2, _, xvars, err := solveResidualPhase(ledger, files, t, lambda, f1)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +79,7 @@ func linkList(nw *netmodel.Network) []netmodel.Link {
 
 // solveConcurrentPhase maximizes the common routable fraction λ within the
 // paid headroom of every link and slot.
-func solveConcurrentPhase(ledger *netmodel.Ledger, files []netmodel.File, t int, conf Config) (float64, map[int]map[netmodel.Link]float64, error) {
+func solveConcurrentPhase(ledger *netmodel.Ledger, files []netmodel.File, t int) (float64, map[int]map[netmodel.Link]float64, error) {
 	nw := ledger.Network()
 	m := lp.NewModel()
 	m.SetMaximize()
@@ -91,7 +90,7 @@ func solveConcurrentPhase(ledger *netmodel.Ledger, files []netmodel.File, t int,
 		vars := make(map[netmodel.Link]lp.VarID, len(links))
 		for _, l := range links {
 			vars[l] = m.AddVariable(0, f.DesiredRate()*float64(nw.NumDCs()),
-				-conf.Epsilon, fmt.Sprintf("p1f%d_%s", f.ID, l))
+				-netmodel.Epsilon, fmt.Sprintf("p1f%d_%s", f.ID, l))
 		}
 		fvars[f.ID] = vars
 	}
@@ -151,7 +150,7 @@ func solveConcurrentPhase(ledger *netmodel.Ledger, files []netmodel.File, t int,
 			}
 		}
 	}
-	sol, err := m.Solve(conf.LP)
+	sol, err := m.Solve(nil)
 	if err != nil {
 		return 0, nil, fmt.Errorf("flowbased: phase-1 LP: %w", err)
 	}
@@ -181,7 +180,7 @@ func solveConcurrentPhase(ledger *netmodel.Ledger, files []netmodel.File, t int,
 
 // solveResidualPhase routes the remaining (1-λ) fraction of every file
 // minimizing the charged cost, with phase-1 flows fixed.
-func solveResidualPhase(ledger *netmodel.Ledger, files []netmodel.File, t int, conf Config,
+func solveResidualPhase(ledger *netmodel.Ledger, files []netmodel.File, t int,
 	lambda float64, f1 map[int]map[netmodel.Link]float64) (
 	map[int]map[netmodel.Link]float64, lp.Status, *lp.Solution, []netmodel.Link, map[netmodel.Link]lp.VarID, error) {
 
@@ -193,7 +192,7 @@ func solveResidualPhase(ledger *netmodel.Ledger, files []netmodel.File, t int, c
 		vars := make(map[netmodel.Link]lp.VarID, len(links))
 		for _, l := range links {
 			vars[l] = m.AddVariable(0, f.DesiredRate()*float64(nw.NumDCs()),
-				conf.Epsilon, fmt.Sprintf("p2f%d_%s", f.ID, l))
+				netmodel.Epsilon, fmt.Sprintf("p2f%d_%s", f.ID, l))
 		}
 		fvars[f.ID] = vars
 	}
@@ -268,7 +267,7 @@ func solveResidualPhase(ledger *netmodel.Ledger, files []netmodel.File, t int, c
 			}
 		}
 	}
-	sol, err := m.Solve(conf.LP)
+	sol, err := m.Solve(nil)
 	if err != nil {
 		return nil, 0, nil, nil, nil, fmt.Errorf("flowbased: phase-2 LP: %w", err)
 	}

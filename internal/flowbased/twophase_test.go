@@ -28,7 +28,7 @@ func TestTwoPhasePartialHeadroom(t *testing.T) {
 	}
 	base := ledger.CostPerSlot() // 4 * 6 = 24
 	files := []netmodel.File{{ID: 1, Src: 0, Dst: 1, Size: 20, Deadline: 2, Release: 1}}
-	res, err := SolveTwoPhase(ledger, files, 1, nil)
+	res, err := SolveTwoPhase(ledger, files, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestTwoPhaseFullHeadroomIsFree(t *testing.T) {
 	}
 	base := ledger.CostPerSlot()
 	files := []netmodel.File{{ID: 1, Src: 0, Dst: 1, Size: 40, Deadline: 2, Release: 1}}
-	res, err := SolveTwoPhase(ledger, files, 1, nil)
+	res, err := SolveTwoPhase(ledger, files, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

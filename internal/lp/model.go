@@ -334,40 +334,15 @@ type Solution struct {
 // Value reports the primal value of v.
 func (s *Solution) Value(v VarID) float64 { return s.X[v] }
 
-// Pricing selects the rule Solve uses to pick the entering variable.
-type Pricing int
-
-// Pricing rules.
+// Solver tolerances. They are fixed: every caller solves with these values.
 const (
-	// PricingDevex (the default) prices with devex reference weights over a
-	// reduced-cost vector maintained incrementally across pivots: each
-	// iteration is a single pass over two dense arrays plus one sparse BTRAN
-	// of the pivot row, instead of per-candidate column scans. Devex's
-	// approximate steepest-edge criterion is the iteration-count lever on
-	// the massively degenerate network LPs Postcard solves.
-	PricingDevex Pricing = iota
-	// PricingDantzig is the legacy rotating-window partial Dantzig rule,
-	// recomputing multipliers densely every iteration. Kept as a
-	// cross-check and fallback.
-	PricingDantzig
+	feasTol  = 1e-7 // primal feasibility tolerance
+	optTol   = 1e-7 // dual feasibility (optimality) tolerance
+	pivotTol = 1e-8 // minimum acceptable pivot magnitude
 )
 
 // Options controls the simplex solver. The zero value selects defaults.
 type Options struct {
-	MaxIterations int     // default 50000 + 20*(rows+cols)
-	FeasTol       float64 // primal feasibility tolerance, default 1e-7
-	OptTol        float64 // dual feasibility (optimality) tolerance, default 1e-7
-	PivotTol      float64 // minimum acceptable pivot magnitude, default 1e-8
-	RefactorEvery int     // eta updates between refactorizations, default 64
-	// Pricing selects the entering-variable rule; the zero value is
-	// PricingDevex.
-	Pricing Pricing
-	// Perturb is the relative magnitude of the deterministic cost
-	// perturbation applied to fight degeneracy (network LPs stall badly
-	// without it). The reported objective always uses the unperturbed
-	// costs. Default 1e-7; set negative to disable.
-	Perturb float64
-
 	// InitialBasis, when non-nil, seeds the simplex with a previously
 	// captured basis snapshot (Solution.Basis), skipping most of phase 1
 	// when the snapshot is close to optimal for the new data. A snapshot
@@ -382,6 +357,16 @@ type Options struct {
 	// Solution (including duals, reduced costs and Basis) is expressed in
 	// the original model via the postsolve map.
 	Presolve bool
+
+	// The fields below are set only by this package's tests; zero selects
+	// the default.
+	maxIterations int // default 50000 + 20*(rows+cols)
+	refactorEvery int // eta updates between refactorizations, default 32
+	// perturb is the relative magnitude of the deterministic cost
+	// perturbation applied to fight degeneracy (network LPs stall badly
+	// without it). The reported objective always uses the unperturbed
+	// costs. Default 1e-7; negative disables it.
+	perturb float64
 }
 
 func (o *Options) withDefaults(rows, cols int) Options {
@@ -389,26 +374,17 @@ func (o *Options) withDefaults(rows, cols int) Options {
 	if o != nil {
 		out = *o
 	}
-	if out.MaxIterations <= 0 {
-		out.MaxIterations = 50000 + 20*(rows+cols)
+	if out.maxIterations <= 0 {
+		out.maxIterations = 50000 + 20*(rows+cols)
 	}
-	if out.FeasTol <= 0 {
-		out.FeasTol = 1e-7
+	if out.refactorEvery <= 0 {
+		out.refactorEvery = 32
 	}
-	if out.OptTol <= 0 {
-		out.OptTol = 1e-7
+	if out.perturb == 0 {
+		out.perturb = 1e-7
 	}
-	if out.PivotTol <= 0 {
-		out.PivotTol = 1e-8
-	}
-	if out.RefactorEvery <= 0 {
-		out.RefactorEvery = 32
-	}
-	if out.Perturb == 0 {
-		out.Perturb = 1e-7
-	}
-	if out.Perturb < 0 {
-		out.Perturb = 0
+	if out.perturb < 0 {
+		out.perturb = 0
 	}
 	return out
 }

@@ -12,7 +12,7 @@ func TestIterLimitReported(t *testing.T) {
 	y := m.AddVariable(0, pinf(), 2, "y")
 	mustCon(t, m, LE, 4, []VarID{x, y}, []float64{1, 1})
 	mustCon(t, m, LE, 2, []VarID{x}, []float64{1})
-	s, err := m.Solve(&Options{MaxIterations: 1})
+	s, err := m.Solve(&Options{maxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestPerturbDisabledStillOptimal(t *testing.T) {
 	x := m.AddVariable(0, 10, 5, "x")
 	y := m.AddVariable(2, 8, 4, "y")
 	mustCon(t, m, LE, 15, []VarID{x, y}, []float64{1, 2})
-	s, err := m.Solve(&Options{Perturb: -1})
+	s, err := m.Solve(&Options{perturb: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,10 +75,6 @@ func SolvePriced(m *Model, oracle PricingOracle, opts *Options) (*Solution, erro
 	if universe == 0 {
 		return m.Solve(opts)
 	}
-	priceTol := 1e-7
-	if opts != nil && opts.OptTol > 0 {
-		priceTol = opts.OptTol
-	}
 	cur := Options{}
 	if opts != nil {
 		cur = *opts
@@ -99,7 +95,7 @@ func SolvePriced(m *Model, oracle PricingOracle, opts *Options) (*Solution, erro
 		done := false
 		switch sol.Status {
 		case Optimal:
-			cols, rows, err := oracle.PriceBatch(m, sol.Dual, priceTol)
+			cols, rows, err := oracle.PriceBatch(m, sol.Dual, optTol)
 			if err != nil {
 				return nil, err
 			}

@@ -65,7 +65,7 @@ func solutionDiff(got, want *Solution) string {
 // cold and warm solves, column and row additions followed by a re-solve from
 // the extended basis (the SolvePriced round protocol), Resets to smaller and
 // larger models, and infeasible, iteration-limited and erroring solves in
-// between, under varied pricing, refactorization, perturbation and presolve
+// between, under varied refactorization, perturbation and presolve
 // settings. Every result must equal the same solve of a fresh copy of the
 // model bit for bit: status, objective, primal and dual values, reduced
 // costs, basis and work counters.
@@ -84,9 +84,8 @@ func FuzzRecycledSolve(f *testing.F) {
 		var basis *Basis
 		for step, op := range ops {
 			opts := &Options{
-				Pricing:       Pricing(rng.Intn(2)),
-				RefactorEvery: []int{0, 3, 7}[rng.Intn(3)],
-				Perturb:       []float64{0, -1, 1e-5}[rng.Intn(3)],
+				refactorEvery: []int{0, 3, 7}[rng.Intn(3)],
+				perturb:       []float64{0, -1, 1e-5}[rng.Intn(3)],
 				Presolve:      rng.Intn(4) == 0,
 			}
 			var what string
@@ -137,7 +136,7 @@ func FuzzRecycledSolve(f *testing.F) {
 				}
 			case 7:
 				what = "iteration limit"
-				opts.MaxIterations = 1 + rng.Intn(4)
+				opts.maxIterations = 1 + rng.Intn(4)
 				opts.InitialBasis = basis
 			case 8:
 				what = "build error"

@@ -175,14 +175,12 @@ type simplex struct {
 
 	seen []bool // warm-start bijection check scratch, clear at rest
 
-	useDevex bool
-
 	warmStarted bool
 	perturbOff  bool // cost perturbation has been stripped mid-solve
 	bland       bool
 	stallCount  int
 	goodSteps   int // consecutive non-degenerate steps while in Bland mode
-	pricePos    int // rotating cursor for partial pricing
+	pricePos    int // rotating cursor of the phase-1 pricing window
 
 	work Work
 }
@@ -198,7 +196,7 @@ func (m *Model) loadSimplex(s *simplex, opts *Options) (*simplex, error) {
 		return nil, err
 	}
 	opt := opts.withDefaults(s.cf.m, s.cf.n)
-	s.cf.perturb(opt.Perturb)
+	s.cf.perturb(opt.perturb)
 	s.reset(opt)
 	return s, nil
 }
@@ -250,7 +248,6 @@ func (s *simplex) reset(opt Options) {
 		deltaVal:   resize(s.deltaVal, m)[:0],
 		ws:         s.ws,
 		seen:       zeroed(s.seen, total),
-		useDevex:   opt.Pricing == PricingDevex,
 		devexStale: true, // weights start uninitialized
 	}
 }
@@ -302,7 +299,7 @@ func (s *simplex) nbValue(j int) float64 {
 // maintained reduced costs (which are defined against the dropped etas and
 // possibly-repaired basis).
 func (s *simplex) refactorize() error {
-	lu, err := sparse.FactorizeBasis(s.lu, s.cf.a, s.basis, s.opt.PivotTol*1e-2)
+	lu, err := sparse.FactorizeBasis(s.lu, s.cf.a, s.basis, pivotTol*1e-2)
 	if err != nil {
 		return fmt.Errorf("lp: basis factorization: %w", err)
 	}
@@ -438,8 +435,8 @@ func (s *simplex) clearW() {
 	s.wIdx = s.wIdx[:0]
 }
 
-// btran computes y = B⁻ᵀ cB with the dense substitution path. It backs the
-// legacy (Dantzig/Bland) pricing loop, the periodic reduced-cost recompute,
+// btran computes y = B⁻ᵀ cB with the dense substitution path. It backs
+// Bland's pricing loop, the periodic reduced-cost recompute,
 // and the final dual extraction.
 func (s *simplex) btran() {
 	copy(s.rhs, s.cB)
@@ -574,64 +571,37 @@ func (s *simplex) candidate(j int, phase1 bool) (d, dir float64, ok bool) {
 	d = s.reducedCost(j, cj)
 	switch st {
 	case vAtLower:
-		if d < -s.opt.OptTol {
+		if d < -optTol {
 			return d, 1, true
 		}
 	case vAtUpper:
-		if d > s.opt.OptTol {
+		if d > optTol {
 			return d, -1, true
 		}
 	case vFree:
-		if d < -s.opt.OptTol {
+		if d < -optTol {
 			return d, 1, true
 		}
-		if d > s.opt.OptTol {
+		if d > optTol {
 			return d, -1, true
 		}
 	}
 	return 0, 0, false
 }
 
-// price selects an entering variable for the legacy paths. phase1 selects
-// against the implicit infeasibility costs (zero for all nonbasic
+// price selects an entering variable by Bland's rule for the anti-cycling
+// path: it scans from index zero and takes the first candidate. phase1
+// selects against the implicit infeasibility costs (zero for all nonbasic
 // variables); phase 2 uses true costs. It returns the variable, its reduced
 // cost, and the movement direction (+1 increase, -1 decrease), or q == -1 at
 // optimality. It requires s.y to hold current simplex multipliers.
-//
-// The normal mode uses partial (rotating-window Dantzig) pricing: columns
-// are scanned from a rotating cursor and the best candidate within a window
-// is taken; the full wrap-around scan only happens near optimality. Bland
-// mode scans from index zero and takes the first candidate, as the
-// anti-cycling rule requires.
 func (s *simplex) price(phase1 bool) (q int, dq, dir float64) {
-	q = -1
-	total := s.cf.n + s.cf.m
-	if s.bland {
-		for j := 0; j < total; j++ {
-			if d, cdir, ok := s.candidate(j, phase1); ok {
-				return j, d, cdir
-			}
-		}
-		return -1, 0, 0
-	}
-	window := total/8 + 50
-	best := s.opt.OptTol
-	for scanned := 0; scanned < total; scanned++ {
-		j := s.pricePos
-		s.pricePos++
-		if s.pricePos >= total {
-			s.pricePos = 0
-		}
+	for j := 0; j < s.cf.n+s.cf.m; j++ {
 		if d, cdir, ok := s.candidate(j, phase1); ok {
-			if a := math.Abs(d); a > best {
-				best, q, dq, dir = a, j, d, cdir
-			}
-		}
-		if q >= 0 && scanned >= window {
-			break
+			return j, d, cdir
 		}
 	}
-	return q, dq, dir
+	return -1, 0, 0
 }
 
 // ensureDuals guarantees the maintained reduced-cost vector matches the
@@ -641,7 +611,7 @@ func (s *simplex) price(phase1 bool) (q int, dq, dir float64) {
 // resets are deliberately decoupled from dual recomputes: a routine
 // refactorization does not change the basis, so the reference framework —
 // which approximates steepest-edge norms accumulated over many pivots —
-// survives it; wiping it every RefactorEvery pivots would discard exactly
+// survives it; wiping it every refactorEvery pivots would discard exactly
 // the information that steers devex out of degenerate plateaus.
 func (s *simplex) ensureDuals(phase1 bool) {
 	if s.devexStale || s.dPhase1 != phase1 {
@@ -699,7 +669,7 @@ func (s *simplex) recomputeD(phase1 bool) {
 func (s *simplex) priceDevex() (q int, dq, dir float64) {
 	q = -1
 	best := 0.0
-	tol := s.opt.OptTol
+	tol := optTol
 	total := s.cf.n + s.cf.m
 	for j := 0; j < total; j++ {
 		st := s.vstat[j]
@@ -735,8 +705,8 @@ func (s *simplex) priceDevex() (q int, dq, dir float64) {
 	return q, dq, dir
 }
 
-// priceMaintainedWindow selects the entering variable with the legacy
-// rotating-window partial Dantzig rule, but reading the maintained
+// priceMaintainedWindow selects the entering variable with a
+// rotating-window partial Dantzig rule, reading the maintained
 // reduced-cost vector instead of recomputing multipliers. It is the phase-1
 // pricing rule: on the massively degenerate phase-1 problems of network LPs
 // the devex criterion herds the iterate onto a plateau it cannot leave
@@ -748,7 +718,7 @@ func (s *simplex) priceDevex() (q int, dq, dir float64) {
 // maintained vector.
 func (s *simplex) priceMaintainedWindow() (q int, dq, dir float64) {
 	q = -1
-	tol := s.opt.OptTol
+	tol := optTol
 	total := s.cf.n + s.cf.m
 	window := total/8 + 50
 	best := tol
@@ -797,7 +767,7 @@ func (s *simplex) priceMaintainedWindow() (q int, dq, dir float64) {
 // phase1CostAt is the phase-1 cost of the basic variable at row position p:
 // the gradient of its bound violation.
 func (s *simplex) phase1CostAt(p int) float64 {
-	ftol := s.opt.FeasTol
+	ftol := feasTol
 	bj := s.basis[p]
 	switch {
 	case s.xB[p] < s.cf.lo[bj]-ftol:
@@ -957,7 +927,7 @@ func (s *simplex) ratioTest(q int, dir float64, phase1 bool) ratioResult {
 		return s.ratioTestHarris(q, dir)
 	}
 	res := ratioResult{t: math.Inf(1), r: -1}
-	ftol := s.opt.FeasTol
+	ftol := feasTol
 	// Bound flip of the entering variable itself.
 	if !math.IsInf(s.cf.lo[q], -1) && !math.IsInf(s.cf.hi[q], 1) {
 		res.t = s.cf.hi[q] - s.cf.lo[q]
@@ -966,7 +936,7 @@ func (s *simplex) ratioTest(q int, dir float64, phase1 bool) ratioResult {
 	bestPivot := 0.0
 	for _, p := range s.wIdx {
 		wp := s.w[p]
-		if math.Abs(wp) < s.opt.PivotTol {
+		if math.Abs(wp) < pivotTol {
 			continue
 		}
 		delta := -dir * wp // rate of change of xB[p] per unit step
@@ -1029,12 +999,12 @@ func (s *simplex) ratioTest(q int, dir float64, phase1 bool) ratioResult {
 
 // ratioTestHarris is the two-pass phase-2 ratio test described at ratioTest.
 func (s *simplex) ratioTestHarris(q int, dir float64) ratioResult {
-	ftol := s.opt.FeasTol
+	ftol := feasTol
 	// Pass 1: maximum step with bounds relaxed by ftol.
 	tmax := math.Inf(1)
 	for _, p := range s.wIdx {
 		wp := s.w[p]
-		if math.Abs(wp) < s.opt.PivotTol {
+		if math.Abs(wp) < pivotTol {
 			continue
 		}
 		delta := -dir * wp
@@ -1071,7 +1041,7 @@ func (s *simplex) ratioTestHarris(q int, dir float64) ratioResult {
 	bestPivot := 0.0
 	for _, p := range s.wIdx {
 		wp := s.w[p]
-		if math.Abs(wp) < s.opt.PivotTol {
+		if math.Abs(wp) < pivotTol {
 			continue
 		}
 		delta := -dir * wp
@@ -1118,7 +1088,7 @@ func (s *simplex) ratioTestHarris(q int, dir float64) ratioResult {
 		// through rounding); fall back to the smallest strict ratio.
 		for _, p := range s.wIdx {
 			wp := s.w[p]
-			if math.Abs(wp) < s.opt.PivotTol {
+			if math.Abs(wp) < pivotTol {
 				continue
 			}
 			delta := -dir * wp
@@ -1188,7 +1158,7 @@ func (s *simplex) pivot(q int, dir float64, res ratioResult) error {
 		}
 	}
 	s.etas = append(s.etas, eta{start: start, end: len(s.etaIdx), r: r, pivot: s.w[r]})
-	if len(s.etas) >= s.opt.RefactorEvery {
+	if len(s.etas) >= s.opt.refactorEvery {
 		return s.refactorize()
 	}
 	return nil
@@ -1353,10 +1323,10 @@ func (s *simplex) run() (Status, error) {
 // recomputed reduced costs before concluding, since the maintained vector
 // it priced may have drifted.
 func (s *simplex) runPhase1() (Status, bool, error) {
-	exitTol := s.opt.FeasTol * float64(1+s.cf.m)
+	exitTol := feasTol * float64(1+s.cf.m)
 	confirmed := false
 	for {
-		if s.work.Iterations >= s.opt.MaxIterations {
+		if s.work.Iterations >= s.opt.maxIterations {
 			return IterLimit, true, nil
 		}
 		if s.infeasibility() <= exitTol {
@@ -1369,7 +1339,7 @@ func (s *simplex) runPhase1() (Status, bool, error) {
 			}
 			continue // drift was hiding real infeasibility: keep pivoting
 		}
-		if s.useDevex && !s.bland {
+		if !s.bland {
 			s.ensureDuals(true)
 			s.debugCheckDuals(true)
 			q, dq, dir := s.priceMaintainedWindow()
@@ -1411,8 +1381,8 @@ func (s *simplex) runPhase1() (Status, bool, error) {
 			s.work.Phase1Iter++
 			continue
 		}
-		// Legacy path: Bland anti-cycling and Dantzig pricing recompute the
-		// multipliers densely every iteration.
+		// Bland's anti-cycling path recomputes the multipliers densely every
+		// iteration.
 		s.phase1Costs()
 		s.btran()
 		q, _, dir := s.price(true)
@@ -1456,11 +1426,11 @@ func (s *simplex) runPhase1() (Status, bool, error) {
 // honestly recomputed reduced costs before it is returned, bounding the
 // damage maintained-dual drift can do.
 func (s *simplex) runPhase2() (Status, bool, error) {
-	driftLimit := math.Sqrt(s.opt.FeasTol) * float64(1+s.cf.m)
+	driftLimit := math.Sqrt(feasTol) * float64(1+s.cf.m)
 	confirmed := false
 	unboundConfirmed := false
 	for {
-		if s.work.Iterations >= s.opt.MaxIterations {
+		if s.work.Iterations >= s.opt.maxIterations {
 			return IterLimit, true, nil
 		}
 		if s.work.Iterations%16 == 0 && s.infeasibility() > driftLimit {
@@ -1471,7 +1441,7 @@ func (s *simplex) runPhase2() (Status, bool, error) {
 				return 0, false, nil // genuinely drifted: redo phase 1
 			}
 		}
-		if s.useDevex && !s.bland {
+		if !s.bland {
 			s.ensureDuals(false)
 			s.debugCheckDuals(false)
 			q, dq, dir := s.priceDevex()
@@ -1515,7 +1485,7 @@ func (s *simplex) runPhase2() (Status, bool, error) {
 			s.work.Iterations++
 			continue
 		}
-		// Legacy path (Bland or Dantzig pricing).
+		// Bland's anti-cycling path.
 		for p := 0; p < s.cf.m; p++ {
 			s.cB[p] = s.cf.c[s.basis[p]]
 		}
@@ -1569,7 +1539,7 @@ func (s *simplex) solution(m *Model, status Status) *Solution {
 	}
 	// Snap values that the EXPAND anti-degeneracy step nudged marginally
 	// past a bound back onto it.
-	snapTol := 8 * s.opt.FeasTol
+	snapTol := 8 * feasTol
 	for j := 0; j < s.cf.n; j++ {
 		if lo := s.cf.lo[j]; !math.IsInf(lo, -1) && math.Abs(sol.X[j]-lo) <= snapTol*(1+math.Abs(lo)) {
 			sol.X[j] = lo

@@ -340,42 +340,51 @@ func randomModel(rng *rand.Rand) *Model {
 	return m
 }
 
-func TestRandomCrossCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(2012))
+// checkAgainstDense fails the test unless the sparse solution s of m agrees
+// with the dense tableau's d: identical status and, when optimal, a feasible
+// primal point and objectives equal to within tolerance.
+func checkAgainstDense(t *testing.T, trial int, m *Model, s, d *Solution) {
+	t.Helper()
+	if s.Status != d.Status {
+		t.Fatalf("trial %d: status mismatch sparse=%v dense=%v", trial, s.Status, d.Status)
+	}
+	if s.Status != Optimal {
+		return
+	}
+	if err := m.Validate(s.X, 1e-6); err != nil {
+		t.Fatalf("trial %d: sparse solution infeasible: %v", trial, err)
+	}
+	diff := math.Abs(s.Objective - d.Objective)
+	scale := 1 + math.Max(math.Abs(s.Objective), math.Abs(d.Objective))
+	if diff/scale > 1e-6 {
+		t.Fatalf("trial %d: objective mismatch sparse=%v dense=%v", trial, s.Objective, d.Objective)
+	}
+}
+
+// crossCheckRandom solves 400 random LPs drawn from seed with both the
+// sparse simplex (devex pricing) and the dense tableau reference: the two
+// follow different pivot trajectories but must agree on the outcome.
+func crossCheckRandom(t *testing.T, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	agreeOpt := 0
 	for trial := 0; trial < 400; trial++ {
 		m := randomModel(rng)
-		s, err := m.Solve(nil)
-		if err != nil {
-			t.Fatalf("trial %d: Solve: %v", trial, err)
-		}
-		d, err := m.SolveDense()
-		if err != nil {
-			t.Fatalf("trial %d: SolveDense: %v", trial, err)
-		}
+		s, d := solveBoth(t, m)
 		if s.Status == IterLimit || d.Status == IterLimit {
 			continue
 		}
-		if s.Status != d.Status {
-			t.Fatalf("trial %d: status mismatch sparse=%v dense=%v", trial, s.Status, d.Status)
-		}
-		if s.Status != Optimal {
-			continue
-		}
-		agreeOpt++
-		if err := m.Validate(s.X, 1e-6); err != nil {
-			t.Fatalf("trial %d: sparse solution infeasible: %v", trial, err)
-		}
-		diff := math.Abs(s.Objective - d.Objective)
-		scale := 1 + math.Max(math.Abs(s.Objective), math.Abs(d.Objective))
-		if diff/scale > 1e-6 {
-			t.Fatalf("trial %d: objective mismatch sparse=%v dense=%v", trial, s.Objective, d.Objective)
+		checkAgainstDense(t, trial, m, s, d)
+		if s.Status == Optimal {
+			agreeOpt++
 		}
 	}
 	if agreeOpt < 50 {
-		t.Fatalf("only %d optimal instances; generator too degenerate", agreeOpt)
+		t.Fatalf("seed %d: only %d optimal instances; generator too degenerate", seed, agreeOpt)
 	}
 }
+
+func TestRandomCrossCheck(t *testing.T) { crossCheckRandom(t, 2012) }
 
 func TestRandomReducedCostSigns(t *testing.T) {
 	// At an optimum of a minimization problem, nonbasic-at-lower variables

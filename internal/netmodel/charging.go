@@ -6,6 +6,12 @@ import (
 	"sort"
 )
 
+// Epsilon is the per-GB weight of the secondary traffic-minimization term
+// every LP scheduler adds to its cost objective. It breaks ties among
+// cost-equal optima by discouraging gratuitous traffic riding below a
+// link's charged peak.
+const Epsilon = 1e-6
+
 // Charging is a q-th percentile charging scheme (Sec. II-A): per-slot
 // traffic volumes over a charging period of PeriodSlots slots are sorted
 // ascending, and the volume at the ceil(q/100 * PeriodSlots)-th position

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/interdc/postcard/internal/core"
-	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/schedule"
 )
@@ -171,27 +170,26 @@ func TestEffectiveWorkersBounds(t *testing.T) {
 	}
 }
 
-// TestSchedulerClonesAreIndependent: clones must not share Config or LP
-// option pointers with the original (the whole point of cloning).
+// TestSchedulerClonesAreIndependent: clones must not share the Config
+// pointer with the original (the whole point of cloning).
 func TestSchedulerClonesAreIndependent(t *testing.T) {
 	pc := &Postcard{
 		Label:  "pc",
-		Config: &core.Config{Epsilon: 1e-5, LP: &lp.Options{MaxIterations: 123}},
+		Config: &core.Config{Storage: core.StorageNone, PricingWorkers: 3},
 	}
 	cl := pc.CloneScheduler().(*Postcard)
 	if cl.Name() != "pc" {
 		t.Errorf("clone name %q", cl.Name())
 	}
-	if cl.Config == pc.Config || cl.Config.LP == pc.Config.LP {
-		t.Error("postcard clone shares Config or LP pointers with the original")
+	if cl.Config == pc.Config {
+		t.Error("postcard clone shares its Config pointer with the original")
 	}
-	if cl.Config.Epsilon != 1e-5 || cl.Config.LP.MaxIterations != 123 {
+	if *cl.Config != *pc.Config {
 		t.Errorf("postcard clone config not copied: %+v", cl.Config)
 	}
 
 	fl := &Flow{Variant: FlowTwoPhase}
-	fcl := fl.CloneScheduler().(*Flow)
-	if fcl.Variant != FlowTwoPhase || fcl.Config != nil {
+	if fcl := fl.CloneScheduler().(*Flow); *fcl != *fl {
 		t.Errorf("flow clone mismatch: %+v", fcl)
 	}
 

@@ -43,8 +43,8 @@ func (p *Fast) Name() string {
 }
 
 // CloneScheduler implements CloneableScheduler: the copy deep-copies the
-// admission configuration (including the re-optimizer's solver and LP
-// options) and starts with a fresh controller, so cloned cells run
+// admission configuration (including the re-optimizer's solver
+// configuration) and starts with a fresh controller, so cloned cells run
 // bit-identically to a sequentially reused instance (every run binds a new
 // ledger, which retires the previous controller anyway).
 func (p *Fast) CloneScheduler() Scheduler {
@@ -53,10 +53,6 @@ func (p *Fast) CloneScheduler() Scheduler {
 		cfg := *p.Config
 		if p.Config.Solver != nil {
 			solver := *p.Config.Solver
-			if p.Config.Solver.LP != nil {
-				lpOpts := *p.Config.Solver.LP
-				solver.LP = &lpOpts
-			}
 			cfg.Solver = &solver
 		}
 		out.Config = &cfg

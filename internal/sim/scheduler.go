@@ -87,8 +87,8 @@ func (p *Postcard) Name() string {
 }
 
 // CloneScheduler implements CloneableScheduler: the copy deep-copies the
-// optimizer configuration (including LP options) so concurrent cells can
-// never observe each other through a shared Config pointer. The clone
+// optimizer configuration so concurrent cells can never observe each other
+// through a shared Config pointer. The clone
 // starts with a fresh (empty) solver cache; since core.Solver resets itself
 // whenever the network changes identity — and every simulation cell builds
 // its own network — a cloned warm scheduler produces bit-identical runs to
@@ -97,10 +97,6 @@ func (p *Postcard) CloneScheduler() Scheduler {
 	out := &Postcard{Label: p.Label, WarmStart: p.WarmStart}
 	if p.Config != nil {
 		cfg := *p.Config
-		if p.Config.LP != nil {
-			lpOpts := *p.Config.LP
-			cfg.LP = &lpOpts
-		}
 		out.Config = &cfg
 	}
 	return out
@@ -185,26 +181,14 @@ func (v FlowVariant) String() string {
 // Flow is the Scheduler adapter for the flow-based baselines.
 type Flow struct {
 	Variant FlowVariant
-	// Config tunes the LP-based variants; nil selects defaults.
-	Config *flowbased.Config
 }
 
 // Name implements Scheduler.
 func (f *Flow) Name() string { return f.Variant.String() }
 
-// CloneScheduler implements CloneableScheduler; see Postcard.CloneScheduler.
-func (f *Flow) CloneScheduler() Scheduler {
-	out := &Flow{Variant: f.Variant}
-	if f.Config != nil {
-		cfg := *f.Config
-		if f.Config.LP != nil {
-			lpOpts := *f.Config.LP
-			cfg.LP = &lpOpts
-		}
-		out.Config = &cfg
-	}
-	return out
-}
+// CloneScheduler implements CloneableScheduler. A Flow holds no state
+// beyond its variant.
+func (f *Flow) CloneScheduler() Scheduler { return &Flow{Variant: f.Variant} }
 
 // Schedule implements Scheduler.
 func (f *Flow) Schedule(ledger *netmodel.Ledger, files []netmodel.File, slot int) (*schedule.Schedule, error) {
@@ -214,9 +198,9 @@ func (f *Flow) Schedule(ledger *netmodel.Ledger, files []netmodel.File, slot int
 	)
 	switch f.Variant {
 	case FlowLP:
-		res, err = flowbased.Solve(ledger, files, slot, f.Config)
+		res, err = flowbased.Solve(ledger, files, slot)
 	case FlowTwoPhase:
-		res, err = flowbased.SolveTwoPhase(ledger, files, slot, f.Config)
+		res, err = flowbased.SolveTwoPhase(ledger, files, slot)
 	case FlowGreedy:
 		res, err = flowbased.SolveGreedy(ledger, files, slot)
 	case FlowDirect:

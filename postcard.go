@@ -8,9 +8,9 @@
 //   - network modeling: datacenters, priced links, percentile-based
 //     charging ledgers (Network, Ledger, Charging, File);
 //   - the Postcard optimizer: an LP on a time-expanded graph that jointly
-//     routes, splits, schedules, and stores traffic (Solve);
-//   - the paper's baselines: the flow-based model in four flavors
-//     (FlowSolve, FlowTwoPhase, FlowGreedy, FlowDirect);
+//     routes, splits, schedules, and stores traffic (New, Client.Solve);
+//   - the paper's baselines: the flow-based model in four flavors, run
+//     through the scheduler registry (SchedulerByName);
 //   - the Sec. VI extension problems (MaxBulk, MaxUnderBudget, AdmitFiles);
 //   - the online simulator and the experiment driver regenerating the
 //     paper's evaluation figures (Run, RunFigure);
@@ -24,7 +24,7 @@
 //
 //	nw, files, _ := postcard.Fig3Topology(0)
 //	ledger, _ := postcard.NewLedger(nw, postcard.MaxCharging(100))
-//	res, _ := postcard.Solve(ledger, files, 0, nil)
+//	res, _ := postcard.New().Solve(ledger, files, 0)
 //	_ = res.Schedule.Apply(ledger)
 //	fmt.Println("cost per interval:", ledger.CostPerSlot())
 //
@@ -39,7 +39,6 @@ import (
 	"github.com/interdc/postcard/internal/admission"
 	"github.com/interdc/postcard/internal/core"
 	"github.com/interdc/postcard/internal/extensions"
-	"github.com/interdc/postcard/internal/flowbased"
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/schedule"
@@ -97,12 +96,10 @@ type (
 	// PricingMode selects the LP formulation: per-arc flow variables
 	// (PricingArc, the default) or Dantzig–Wolfe path pricing (PricingPath).
 	PricingMode = core.PricingMode
-	// LPOptions tunes the underlying LP solver (Config.LP / WithLPOptions).
-	LPOptions = lp.Options
 	// UnroutableError reports structurally undeliverable files.
 	UnroutableError = core.UnroutableError
-	// IncrementalSolver is the warm-started slot-by-slot counterpart of
-	// Solve that backs New(WithWarmStart()): consecutive solves reuse the
+	// IncrementalSolver is the warm-started slot-by-slot solver that backs
+	// New(WithWarmStart()): consecutive solves reuse the
 	// time-expanded graph skeleton and warm-start each LP from the previous
 	// slot's basis. See core.Solver.
 	IncrementalSolver = core.Solver
@@ -110,22 +107,8 @@ type (
 	SolveStats = core.SolveStats
 )
 
-// Baseline types.
-type (
-	// FlowConfig tunes the flow-based LP baselines.
-	FlowConfig = flowbased.Config
-	// FlowResult is a flow-based scheduling outcome.
-	FlowResult = flowbased.Result
-	// LinkRate is a static per-link rate of one file's flow.
-	LinkRate = flowbased.LinkRate
-	// UnroutedError reports rates that could not be placed.
-	UnroutedError = flowbased.UnroutedError
-)
-
 // Extension types (Sec. VI problems).
 type (
-	// ExtConfig tunes the extension solvers.
-	ExtConfig = extensions.Config
 	// ExtResult is the outcome of a bulk or budget optimization.
 	ExtResult = extensions.Result
 )
@@ -308,48 +291,22 @@ func NewLedger(nw *Network, scheme Charging) (*Ledger, error) {
 	return netmodel.NewLedger(nw, scheme)
 }
 
-// Solve runs the Postcard optimizer for the files generated at slot t,
-// given everything already committed in the ledger. See core.Solve.
-func Solve(ledger *Ledger, files []File, t int, cfg *Config) (*Result, error) {
-	return core.Solve(ledger, files, t, cfg)
-}
-
-// FlowSolve runs the optimal flow-based baseline (single LP).
-func FlowSolve(ledger *Ledger, files []File, t int, cfg *FlowConfig) (*FlowResult, error) {
-	return flowbased.Solve(ledger, files, t, cfg)
-}
-
-// FlowTwoPhaseSolve runs the paper's two-phase flow decomposition.
-func FlowTwoPhaseSolve(ledger *Ledger, files []File, t int, cfg *FlowConfig) (*FlowResult, error) {
-	return flowbased.SolveTwoPhase(ledger, files, t, cfg)
-}
-
-// FlowGreedySolve runs the cheapest-available-path heuristic.
-func FlowGreedySolve(ledger *Ledger, files []File, t int) (*FlowResult, error) {
-	return flowbased.SolveGreedy(ledger, files, t)
-}
-
-// FlowDirectSolve sends every file over its direct link (no routing).
-func FlowDirectSolve(ledger *Ledger, files []File, t int) (*FlowResult, error) {
-	return flowbased.Direct(ledger, files, t)
-}
-
 // MaxBulk maximizes bulk volume delivered over already-paid leftover
 // bandwidth (Sec. VI, NetStitcher-style, generalized to multiple files).
-func MaxBulk(ledger *Ledger, files []File, t int, cfg *ExtConfig) (*ExtResult, error) {
-	return extensions.MaxBulk(ledger, files, t, cfg)
+func MaxBulk(ledger *Ledger, files []File, t int) (*ExtResult, error) {
+	return extensions.MaxBulk(ledger, files, t)
 }
 
 // MaxUnderBudget maximizes delivered volume with the charged cost per slot
 // capped at budgetPerSlot (Sec. VI).
-func MaxUnderBudget(ledger *Ledger, files []File, t int, budgetPerSlot float64, cfg *ExtConfig) (*ExtResult, error) {
-	return extensions.MaxUnderBudget(ledger, files, t, budgetPerSlot, cfg)
+func MaxUnderBudget(ledger *Ledger, files []File, t int, budgetPerSlot float64) (*ExtResult, error) {
+	return extensions.MaxUnderBudget(ledger, files, t, budgetPerSlot)
 }
 
 // AdmitFiles greedily admits whole files under a budget and returns the
 // admitted IDs with the plan.
-func AdmitFiles(ledger *Ledger, files []File, t int, budgetPerSlot float64, cfg *ExtConfig) ([]int, *ExtResult, error) {
-	return extensions.AdmitFiles(ledger, files, t, budgetPerSlot, cfg)
+func AdmitFiles(ledger *Ledger, files []File, t int, budgetPerSlot float64) ([]int, *ExtResult, error) {
+	return extensions.AdmitFiles(ledger, files, t, budgetPerSlot)
 }
 
 // VerifySchedule re-checks a plan end to end (conservation, capacity,

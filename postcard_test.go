@@ -8,6 +8,29 @@ import (
 	"github.com/interdc/postcard"
 )
 
+// registryCost plans files with the named registry scheduler on an empty
+// ledger over nw and returns the cost per interval once the plan is
+// committed.
+func registryCost(t *testing.T, name string, nw *postcard.Network, files []postcard.File) float64 {
+	t.Helper()
+	ledger, err := postcard.NewLedger(nw, postcard.MaxCharging(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := postcard.SchedulerByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sched.Schedule(ledger, files, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Apply(ledger); err != nil {
+		t.Fatal(err)
+	}
+	return ledger.CostPerSlot()
+}
+
 // TestPublicAPIQuickstart exercises the facade end to end on the paper's
 // Fig. 3 example, asserting the three numbers from Sec. V.
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -19,7 +42,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := postcard.Solve(ledger, files, 0, nil)
+	res, err := postcard.New().Solve(ledger, files, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,19 +52,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if want := 30 + 8.0/3.0; math.Abs(res.CostPerSlot-want) > 1e-5 {
 		t.Errorf("postcard cost = %v, want %v", res.CostPerSlot, want)
 	}
-	flow, err := postcard.FlowSolve(ledger, files, 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	if flow := registryCost(t, "flow-based", nw, files); math.Abs(flow-50) > 1e-5 {
+		t.Errorf("flow cost = %v, want 50", flow)
 	}
-	if math.Abs(flow.CostPerSlot-50) > 1e-5 {
-		t.Errorf("flow cost = %v, want 50", flow.CostPerSlot)
-	}
-	direct, err := postcard.FlowDirectSolve(ledger, files, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(direct.CostPerSlot-52) > 1e-6 {
-		t.Errorf("direct cost = %v, want 52", direct.CostPerSlot)
+	if direct := registryCost(t, "direct", nw, files); math.Abs(direct-52) > 1e-6 {
+		t.Errorf("direct cost = %v, want 52", direct)
 	}
 	if err := postcard.VerifySchedule(res.Schedule, nw, files, postcard.VerifyConfig{}); err != nil {
 		t.Errorf("verify: %v", err)
