@@ -162,8 +162,7 @@ func run() (err error) {
 		if sv := rs.Solver; sv.Solves > 0 {
 			fmt.Printf("lp solves:        %d (%d warm-started, %d graph reuses)\n",
 				sv.Solves, sv.WarmSolves, sv.GraphReuses)
-			fmt.Printf("lp iterations:    %d (%d phase-1); presolve removed %d cols, %d rows\n",
-				sv.Iterations, sv.Phase1Iter, sv.PresolveCols, sv.PresolveRows)
+			fmt.Printf("lp iterations:    %d (%d phase-1)\n", sv.Iterations, sv.Phase1Iter)
 			if tot := sv.SparseSolves + sv.DenseSolves; tot > 0 {
 				density := 0.0
 				if sv.SolveDim > 0 {

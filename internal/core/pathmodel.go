@@ -703,33 +703,14 @@ func (pb *pathBuilder) solve(opts *lp.Options) (res *Result, sol *lp.Solution, f
 	return res, sol, false, nil
 }
 
-// pathCrashBasis is the cold start of the path master: every artificial
-// basic against its demand row (the implied point serves each file from its
-// artificial, so it is primal feasible and phase 1 is free except for
-// partial-percentile floor rows), everything else at the cold default.
-func pathCrashBasis(pb *pathBuilder) *lp.Basis {
-	nv, nr := len(pb.colKeys), len(pb.rowKeys)
-	out := &lp.Basis{NumVars: nv, NumRows: nr, Status: make([]lp.BasisStatus, nv+nr)}
-	for j := 0; j < nv; j++ {
-		out.Status[j] = lp.BasisAtLower
-	}
-	for i := 0; i < nr; i++ {
-		out.Status[nv+i] = lp.BasisBasic
-	}
-	for k := range pb.files {
-		out.Status[pb.artVar[k]] = lp.BasisBasic
-		out.Status[nv+int(pb.demandRow[k])] = lp.BasisAtLower
-	}
-	return out.Normalize()
-}
-
-// pathCrashNewFiles upgrades a mapped basis for files the previous model
-// did not contain: their artificial column enters basic against their
-// demand row (a triangular flip — the artificial appears in that row only),
-// restoring the primal-feasible serve-from-artificial start the cold crash
-// basis uses. Files carried over (same-slot shedding retries) keep their
-// mapped statuses.
-func pathCrashNewFiles(out *lp.Basis, prevRowStat map[modelKey]lp.BasisStatus, pb *pathBuilder) {
+// crashNewFiles upgrades a mapped basis for files the previous model did
+// not contain: their artificial column enters basic against their demand
+// row (a triangular flip — the artificial appears in that row only). On a
+// from-scratch solve that is every file, so the implied point serves each
+// file from its artificial: it is primal feasible and phase 1 is free
+// except for partial-percentile floor rows. Files carried over (same-slot
+// shedding retries) keep their mapped statuses.
+func (pb *pathBuilder) crashNewFiles(out *lp.Basis, prevRowStat map[modelKey]lp.BasisStatus) {
 	for k, f := range pb.files {
 		key := modelKey{kind: kindDemand, file: f.ID, from: -1, to: -1, slot: -1}
 		if _, carried := prevRowStat[key]; carried {

@@ -154,46 +154,13 @@ func (e *UnroutableError) Error() string {
 // Every file must satisfy Release >= t. The ledger supplies residual
 // capacities and the already-charged volume floor X_ij(t-1); it is not
 // modified (callers apply the returned schedule explicitly). Solve is
-// stateless: every call builds its time-expanded graph and LP from scratch
-// and cold-starts the simplex. Online slot-by-slot callers should prefer a
-// Solver, which reuses the graph skeleton and warm-starts consecutive
-// solves from each other's bases.
+// stateless: it is a fresh Solver's first solve, which builds the
+// time-expanded graph and LP from scratch and starts the simplex from the
+// crash basis. Online slot-by-slot callers should keep a Solver instead,
+// which reuses the graph skeleton and warm-starts consecutive solves from
+// each other's bases.
 func Solve(ledger *netmodel.Ledger, files []netmodel.File, t int, cfg *Config) (*Result, error) {
-	conf := cfg.orZero()
-	if len(files) == 0 {
-		return emptyResult(ledger), nil
-	}
-	horizon, err := requiredHorizon(ledger.Network(), files, t)
-	if err != nil {
-		return nil, err
-	}
-	tg, err := timegraph.Build(ledger.Network(), t, horizon)
-	if err != nil {
-		return nil, err
-	}
-	if conf.Pricing == PricingPath {
-		return solvePathStateless(tg, ledger, files, conf)
-	}
-	b, err := prepare(tg, ledger, files, conf, nil)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := b.solve(&lp.Options{InitialBasis: crashBasis(b)})
-	if res != nil {
-		// The synthesized crash basis is an internal acceleration, not a
-		// caller-provided warm start; keep the stateless contract visible.
-		res.WarmStarted = false
-	}
-	return res, err
-}
-
-// emptyResult is the no-demand shortcut shared by Solve and Solver.Solve.
-func emptyResult(ledger *netmodel.Ledger) *Result {
-	return &Result{
-		Schedule:    &schedule.Schedule{},
-		CostPerSlot: ledger.CostPerSlot(),
-		Status:      lp.Optimal,
-	}
+	return NewSolver(cfg).Solve(ledger, files, t)
 }
 
 // requiredHorizon validates every file against the network and the solve
@@ -258,29 +225,6 @@ func routability(tg *timegraph.Graph, files []netmodel.File, conf Config) ([]tim
 	return reach, nil
 }
 
-// solvePathStateless is the PricingPath branch of the stateless Solve: the
-// path master with a cold crash basis, falling back to an arc-model solve
-// when the master cannot serve every file (see pathBuilder.solve).
-func solvePathStateless(tg *timegraph.Graph, ledger *netmodel.Ledger, files []netmodel.File, conf Config) (*Result, error) {
-	reach, err := routability(tg, files, conf)
-	if err != nil {
-		return nil, err
-	}
-	pb := newPathBuilder(nil, tg, ledger, files, reach, conf)
-	if err := pb.build(); err != nil {
-		return nil, err
-	}
-	res, _, fallback, err := pb.solve(&lp.Options{InitialBasis: pathCrashBasis(pb)})
-	if err != nil {
-		return nil, err
-	}
-	res.WarmStarted = false
-	if !fallback {
-		return res, nil
-	}
-	return solveArcFallback(tg, ledger, files, reach, conf, res)
-}
-
 // solveArcFallback obtains the authoritative verdict from the arc model
 // after a path master terminated with positive artificials, folding all of
 // the path attempt's LP work into the returned counters.
@@ -289,7 +233,7 @@ func solveArcFallback(tg *timegraph.Graph, ledger *netmodel.Ledger, files []netm
 	if err := b.build(); err != nil {
 		return nil, err
 	}
-	res, _, err := b.solve(&lp.Options{InitialBasis: crashBasis(b)})
+	res, _, err := b.solve(&lp.Options{InitialBasis: mappedBasis(b.colKeys, b.rowKeys, nil, nil, b.crashNewFiles)})
 	if err != nil {
 		return nil, err
 	}
@@ -415,9 +359,12 @@ type builder struct {
 	// delayed lists the uninstantiated universe in deterministic
 	// (file, edge-index) order.
 	delayed []delayedCol
-	// crashEdge marks, per build of one file, the transfer edges of its
-	// crash route (materialized eagerly so the crash basis works on the
-	// restricted master).
+	// crashPath[k] is file k's crash route, the BFS shortest-hop path it
+	// ships along immediately at release (nil when that path cannot reach
+	// the destination by the file's deadline layer). crashEdge marks, per
+	// build of one file, the transfer edges of that route (materialized
+	// eagerly so the crash basis works on the restricted master).
+	crashPath [][]netmodel.DC
 	crashEdge []bool
 	// rowIdx/rowVal are the constraint-assembly scratch; colCons is the
 	// four-row support scratch of Materialize.
@@ -498,6 +445,11 @@ func (b *builder) build() error {
 	} else {
 		b.mvars = b.mvars[:len(b.files)]
 	}
+	if cap(b.crashPath) < len(b.files) {
+		b.crashPath = make([][]netmodel.DC, len(b.files))
+	} else {
+		b.crashPath = b.crashPath[:len(b.files)]
+	}
 	b.crashEdge = intSlice(b.crashEdge, b.tg.NumEdges())
 	for k, f := range b.files {
 		b.mvars[k] = intSlice(b.mvars[k], b.tg.NumEdges())
@@ -547,34 +499,32 @@ func (b *builder) build() error {
 	return b.addConservation()
 }
 
-// markCrashRoute flags, in b.crashEdge, the transfer edges of file k's
-// crash route (BFS shortest-hop path shipped immediately at release). These
-// columns are materialized eagerly so crashBasis can make the route basic
-// on the restricted master; the destination holdovers it also needs are
-// storage arcs, which are always materialized. Unset flags from the
-// previous file are cleared first.
+// markCrashRoute computes file k's crash route into b.crashPath[k] (the one
+// BFS per file per build; crashRoute reads it back) and flags its transfer
+// edges in b.crashEdge. These columns are materialized eagerly so the crash
+// basis can make the route basic on the restricted master; the destination
+// holdovers it also needs are storage arcs, which are always materialized.
+// Flags from the previous file are cleared first.
 func (b *builder) markCrashRoute(k int) {
-	for i := range b.crashEdge {
-		b.crashEdge[i] = false
-	}
+	clear(b.crashEdge)
+	b.crashPath[k] = nil
 	f := b.files[k]
 	path, ok := shortestHopPath(b.tg.Network(), f.Src, f.Dst)
-	if !ok {
+	if !ok || f.Release+len(path)-1 > b.deadlineLayer(f) {
 		return
 	}
-	hops := len(path) - 1
-	deadlineLayer := f.Release + f.Deadline
-	if clamp := b.tg.Start() + b.tg.Horizon(); deadlineLayer > clamp {
-		deadlineLayer = clamp
-	}
-	if f.Release+hops > deadlineLayer {
-		return
-	}
-	for i := 0; i < hops; i++ {
+	b.crashPath[k] = path
+	for i := 0; i+1 < len(path); i++ {
 		if e, found := b.tg.EdgeAt(path[i], path[i+1], f.Release+i); found {
 			b.crashEdge[e.Index] = true
 		}
 	}
+}
+
+// deadlineLayer is the last layer of file f's window on the builder's
+// graph: its deadline, clamped to the graph's horizon.
+func (b *builder) deadlineLayer(f netmodel.File) int {
+	return min(f.Release+f.Deadline, b.tg.Start()+b.tg.Horizon())
 }
 
 // addCapacityAndCharge emits constraint (7) (per-edge capacity against the
@@ -661,10 +611,7 @@ func (b *builder) addConservation() error {
 	for k, f := range b.files {
 		first, last, _ := b.tg.FileWindow(f)
 		r := b.reach[k]
-		deadlineLayer := f.Release + f.Deadline
-		if clamp := b.tg.Start() + b.tg.Horizon(); deadlineLayer > clamp {
-			deadlineLayer = clamp
-		}
+		deadlineLayer := b.deadlineLayer(f)
 		b.consFirst[k] = first
 		b.consRow[k] = intSlice(b.consRow[k], (deadlineLayer-first+1)*n)
 		for i := range b.consRow[k] {

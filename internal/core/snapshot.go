@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
 )
@@ -17,37 +19,53 @@ type SnapshotKey struct {
 }
 
 // SolverSnapshot is the serializable cross-slot state of a Solver: the
-// last optimal basis with the structural keys of its columns and rows,
-// plus the cumulative work counters. Restoring it into a fresh Solver
-// bound to an equivalent network makes the next Solve map the basis
+// last solve's basis with the structural keys of its columns and rows and
+// the IDs of its files, the state its slot opened with when that differs,
+// plus the cumulative work counters. Restoring it into a fresh
+// Solver bound to an equivalent network makes the next Solve map the basis
 // exactly as an uninterrupted solver would, so a process restart resumes
 // the remaining horizon with bit-identical plans (the recycled
 // time-expanded graph and builder are rebuilt on demand and never affect
-// results — only the GraphReuses counter can differ).
+// results — only the GraphReuses counter can differ). Under PricingPath it
+// does not carry the retained paths, so a restored solver recycles none.
 type SolverSnapshot struct {
 	// Valid reports whether the snapshot carries warm-start state; a
 	// solver that has not solved anything yet snapshots Valid == false
 	// with only its counters.
-	Valid bool          `json:"valid"`
-	PrevT int           `json:"prev_t"`
+	Valid bool `json:"valid"`
+	PrevT int  `json:"prev_t"`
+	BasisSnapshot
+	// Files lists the IDs of the files the last solve had.
+	Files []int `json:"files,omitempty"`
+	// Start is the state slot PrevT opened with, absent when it is the
+	// last solve's.
+	Start *BasisSnapshot `json:"start,omitempty"`
+	Stats SolveStats     `json:"stats"`
+}
+
+// BasisSnapshot is one cached basis with the structural keys of its columns
+// and rows.
+type BasisSnapshot struct {
 	Basis *lp.Basis     `json:"basis,omitempty"`
 	Cols  []SnapshotKey `json:"cols,omitempty"`
 	Rows  []SnapshotKey `json:"rows,omitempty"`
-	Stats SolveStats    `json:"stats"`
 }
 
 // Snapshot captures the solver's warm-start state and counters. The
 // returned value shares nothing with the solver.
 func (s *Solver) Snapshot() *SolverSnapshot {
 	snap := &SolverSnapshot{Stats: s.stats}
-	if !s.valid || s.basis == nil {
+	if !s.valid || s.last.basis == nil {
 		return snap
 	}
 	snap.Valid = true
 	snap.PrevT = s.prevT
-	snap.Basis = s.basis.Clone()
-	snap.Cols = keysToSnapshot(s.cols)
-	snap.Rows = keysToSnapshot(s.rows)
+	snap.BasisSnapshot = s.last.snapshot()
+	snap.Files = slices.Clone(s.last.files)
+	if s.start.basis != s.last.basis {
+		start := s.start.snapshot()
+		snap.Start = &start
+	}
 	return snap
 }
 
@@ -63,17 +81,42 @@ func (s *Solver) Restore(nw *netmodel.Network, snap *SolverSnapshot) {
 		return
 	}
 	s.stats = snap.Stats
-	if !snap.Valid || snap.Basis == nil || nw == nil ||
-		snap.Basis.NumVars != len(snap.Cols) || snap.Basis.NumRows != len(snap.Rows) ||
-		len(snap.Basis.Status) != snap.Basis.NumVars+snap.Basis.NumRows {
+	if !snap.Valid || nw == nil || !snap.BasisSnapshot.fits() ||
+		(snap.Start != nil && snap.Start.Basis != nil && !snap.Start.fits()) {
 		return
 	}
 	s.nw = nw
 	s.prevT = snap.PrevT
 	s.valid = true
-	s.basis = snap.Basis.Clone()
-	s.cols = snapshotToKeys(snap.Cols)
-	s.rows = snapshotToKeys(snap.Rows)
+	s.last = snap.BasisSnapshot.state()
+	s.last.files = slices.Clone(snap.Files)
+	if snap.Start != nil {
+		s.start = snap.Start.state()
+	} else {
+		s.start.copyFrom(&s.last)
+	}
+}
+
+// snapshot returns the serializable copy of st.
+func (st *solveState) snapshot() BasisSnapshot {
+	if st.basis == nil {
+		return BasisSnapshot{}
+	}
+	return BasisSnapshot{Basis: st.basis.Clone(), Cols: keysToSnapshot(st.cols), Rows: keysToSnapshot(st.rows)}
+}
+
+// fits reports whether the basis is present and its shape matches its keys.
+func (b *BasisSnapshot) fits() bool {
+	return b.Basis != nil && b.Basis.NumVars == len(b.Cols) && b.Basis.NumRows == len(b.Rows) &&
+		len(b.Basis.Status) == b.Basis.NumVars+b.Basis.NumRows
+}
+
+// state returns the solver-side copy of b (empty when b has no basis).
+func (b *BasisSnapshot) state() solveState {
+	if b.Basis == nil {
+		return solveState{}
+	}
+	return solveState{basis: b.Basis.Clone(), cols: snapshotToKeys(b.Cols), rows: snapshotToKeys(b.Rows)}
 }
 
 func keysToSnapshot(keys []modelKey) []SnapshotKey {

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"maps"
+	"slices"
+
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
+	"github.com/interdc/postcard/internal/schedule"
 	"github.com/interdc/postcard/internal/telemetry"
 	"github.com/interdc/postcard/internal/timegraph"
 )
@@ -56,19 +60,29 @@ type AdmissionStats struct {
 // graph skeleton (rebased instead of rebuilt) and warm-start each LP from
 // the previous slot's optimal basis, translated across models by structural
 // keys (charged-volume columns per link, capacity/charge rows per edge-slot,
-// per-file columns and conservation rows by file identity). The LP presolve
-// pass is enabled on every solve.
+// per-file columns and conservation rows by file identity). A fresh
+// Solver's first solve is the stateless Solve.
 //
 // The cache is advisory only: a mapped basis the simplex cannot use is
-// silently discarded for a cold start, so a Solver's results match the
-// stateless Solve on every input (same optimal objective; the plan may be a
-// different vertex of the same optimal face, with cost differences bounded
-// by the Epsilon tie-breaking term).
+// silently discarded for a cold start, so every solve reaches the same LP
+// status and optimal objective as Solve on the same ledger. The plan may
+// be a different vertex of the same optimal face, and because each
+// committed plan shapes every later slot's ledger, whole-run costs of a
+// warm and a cold run can differ (CI-scale Fig. 5: 1136.12 warm against
+// 1134.44 cold; see DESIGN.md §2).
+//
+// A slot may be solved more than once: the simulation engine re-solves an
+// infeasible slot with fewer files, and the admission daemon re-solves its
+// open batch as transfers join it. A re-solve of files the last solve all
+// had starts from that solve's basis. A batch with a file the last solve
+// lacked starts from the state the slot opened with, the previous slot's
+// last solve, so its plan never depends on which smaller batches happened
+// to be solved before it.
 //
 // The cache automatically resets whenever the ledger's network changes
-// identity or the solve slot is neither the cached slot (a shedding retry)
-// nor its immediate successor. A Solver is not safe for concurrent use;
-// parallel drivers must give each goroutine its own instance.
+// identity or the solve slot is neither the cached slot nor its immediate
+// successor. A Solver is not safe for concurrent use; parallel drivers
+// must give each goroutine its own instance.
 type Solver struct {
 	conf Config
 
@@ -76,9 +90,9 @@ type Solver struct {
 	prevT int
 	valid bool
 	tg    *timegraph.Graph
-	basis *lp.Basis
-	cols  []modelKey
-	rows  []modelKey
+	// last is the resting state of the last solve, and start the one slot
+	// prevT opened with (the last solve of an earlier slot).
+	last, start solveState
 	// bld is the recycled LP builder: every solve reuses its previous
 	// model's backing allocations, so steady-state iteration assembles each
 	// slot's LP with almost no garbage. pbld is its PricingPath
@@ -87,20 +101,43 @@ type Solver struct {
 	bld  *builder
 	pbld *pathBuilder
 
-	// retain holds, per (src, dst) pair, the node sequences of the path
-	// columns active in the previous slot's optimum. The next slot's path
-	// master re-materializes them (shifted to each new file's release
-	// layer) before its first pricing round, so the restricted master
-	// starts from last slot's proven routes instead of artificials alone.
-	retain map[netmodel.Link][][]netmodel.DC
-
-	// colStat and rowStat are mapKeys' lookup tables from the cached
+	// colStat and rowStat are startBasis' lookup tables from the cached
 	// basis's structural keys to their statuses, cleared and refilled on
 	// every warm solve rather than rebuilt.
 	colStat map[modelKey]lp.BasisStatus
 	rowStat map[modelKey]lp.BasisStatus
 
 	stats SolveStats
+}
+
+// solveState is the resting state of one solve: its final basis with the
+// structural keys of the basis's columns and rows, and the IDs of the files
+// it solved. paths holds, per (src, dst) pair, the node sequences of the
+// path columns active in the last path master's optimum (a solve that fell
+// back to the arc model keeps the previous ones). The next path master
+// re-materializes them (shifted to each new file's release layer) before
+// its first pricing round, so the restricted master starts from proven
+// routes instead of artificials alone.
+type solveState struct {
+	basis *lp.Basis
+	cols  []modelKey
+	rows  []modelKey
+	files []int
+	paths map[netmodel.Link][][]netmodel.DC
+}
+
+// copyFrom makes st a copy of src, reusing st's key buffers. The basis is
+// shared: a cached basis is never modified.
+func (st *solveState) copyFrom(src *solveState) {
+	st.basis = src.basis
+	st.cols = append(st.cols[:0], src.cols...)
+	st.rows = append(st.rows[:0], src.rows...)
+	st.files = append(st.files[:0], src.files...)
+	if st.paths == nil {
+		st.paths = make(map[netmodel.Link][][]netmodel.DC)
+	}
+	clear(st.paths)
+	maps.Copy(st.paths, src.paths)
 }
 
 // NewSolver creates an incremental solver with the given configuration
@@ -119,12 +156,10 @@ func (s *Solver) Reset() {
 	s.prevT = 0
 	s.valid = false
 	s.tg = nil
-	s.basis = nil
-	s.cols = nil
-	s.rows = nil
 	// Retained paths name datacenters of the old network; a different
 	// network invalidates them wholesale.
-	clear(s.retain)
+	s.last = solveState{}
+	s.start = solveState{}
 }
 
 // Solve computes the optimal Postcard plan for the files generated at slot
@@ -136,13 +171,19 @@ func (s *Solver) Solve(ledger *netmodel.Ledger, files []netmodel.File, t int) (*
 		s.Reset()
 		s.nw = nw
 	}
+	if s.valid && t != s.prevT {
+		// Slot t opens with the previous slot's final state; the keys use
+		// absolute slots, so it stays valid.
+		s.start.copyFrom(&s.last)
+		s.prevT = t
+	}
 	if len(files) == 0 {
-		// No model to solve; the cached structure stays valid for slot t+1
-		// because all keys use absolute slots.
-		if s.valid {
-			s.prevT = t
-		}
-		return emptyResult(ledger), nil
+		// No model to solve.
+		return &Result{
+			Schedule:    &schedule.Schedule{},
+			CostPerSlot: ledger.CostPerSlot(),
+			Status:      lp.Optimal,
+		}, nil
 	}
 	horizon, err := requiredHorizon(nw, files, t)
 	if err != nil {
@@ -160,28 +201,17 @@ func (s *Solver) Solve(ledger *netmodel.Ledger, files []netmodel.File, t int) (*
 		return nil, err
 	}
 	s.bld = b
-	opts := lp.Options{Presolve: true}
-	snapshot := false
-	if s.valid && s.basis != nil {
-		opts.InitialBasis = s.mapBasis(b)
-		snapshot = opts.InitialBasis != nil
-	}
-	if opts.InitialBasis == nil {
-		// First solve of a run (or an unusable snapshot): start from the
-		// crash basis rather than the bare all-logical one, exactly like the
-		// stateless cold path.
-		opts.InitialBasis = crashBasis(b)
-	}
-	res, sol, err := b.solve(&opts)
+	basis, warm := s.startBasis(files, b.colKeys, b.rowKeys, b.crashNewFiles)
+	res, sol, err := b.solve(&lp.Options{InitialBasis: basis})
 	if err != nil {
 		return nil, err
 	}
-	// WarmStarted is a statement about solver state carried across slots,
+	// WarmStarted is a statement about solver state carried across solves,
 	// not about the synthesized crash basis: a crash-started solve is still
 	// a cold solve to every observer of these counters.
-	res.WarmStarted = res.WarmStarted && snapshot
+	res.WarmStarted = res.WarmStarted && warm
 	s.record(res)
-	s.cache(t, sol, b.colKeys, b.rowKeys)
+	s.cache(t, files, sol, &b.colKeys, &b.rowKeys)
 	return res, nil
 }
 
@@ -204,27 +234,16 @@ func (s *Solver) solvePath(tg *timegraph.Graph, ledger *netmodel.Ledger, files [
 	// Seed the restricted master with the previous slot's active paths
 	// before the first pricing round, so generation starts from proven
 	// routes instead of re-deriving them from artificials.
-	recycled, err := s.seedRetainedPaths(pb)
+	recycled, err := seedRetainedPaths(pb, s.from(files).paths)
 	if err != nil {
 		return nil, err
 	}
-	opts := lp.Options{Presolve: true}
-	snapshot := false
-	if s.valid && s.basis != nil {
-		if out, rowStat := s.mapKeys(pb.colKeys, pb.rowKeys); out != nil {
-			pathCrashNewFiles(out, rowStat, pb)
-			opts.InitialBasis = out.Normalize()
-			snapshot = true
-		}
-	}
-	if opts.InitialBasis == nil {
-		opts.InitialBasis = pathCrashBasis(pb)
-	}
-	res, sol, fallback, err := pb.solve(&opts)
+	basis, warm := s.startBasis(files, pb.colKeys, pb.rowKeys, pb.crashNewFiles)
+	res, sol, fallback, err := pb.solve(&lp.Options{InitialBasis: basis})
 	if err != nil {
 		return nil, err
 	}
-	res.WarmStarted = res.WarmStarted && snapshot
+	res.WarmStarted = res.WarmStarted && warm
 	if fallback {
 		res, err = solveArcFallback(tg, ledger, files, reach, s.conf, res)
 		if err != nil {
@@ -236,7 +255,7 @@ func (s *Solver) solvePath(tg *timegraph.Graph, ledger *netmodel.Ledger, files [
 	res.PathRecycled = recycled
 	s.record(res)
 	s.stats.PathSolves++
-	s.cache(t, sol, pb.colKeys, pb.rowKeys)
+	s.cache(t, files, sol, &pb.colKeys, &pb.rowKeys)
 	return res, nil
 }
 
@@ -252,17 +271,17 @@ const maxRetainedPaths = 8
 // next slot's files at any release layer.
 func (s *Solver) harvestPaths(pb *pathBuilder, sol *lp.Solution) {
 	const tol = 1e-5
-	if s.retain == nil {
-		s.retain = make(map[netmodel.Link][][]netmodel.DC)
+	if s.last.paths == nil {
+		s.last.paths = make(map[netmodel.Link][][]netmodel.DC)
 	}
-	clear(s.retain)
+	clear(s.last.paths)
 	for _, c := range pb.cols {
 		if sol.Value(c.v) <= tol {
 			continue
 		}
 		f := pb.files[c.file]
 		key := netmodel.Link{From: f.Src, To: f.Dst}
-		if len(s.retain[key]) >= maxRetainedPaths {
+		if len(s.last.paths[key]) >= maxRetainedPaths {
 			continue
 		}
 		nodes := make([]netmodel.DC, 0, int(c.end-c.start)+1)
@@ -282,14 +301,14 @@ func (s *Solver) harvestPaths(pb *pathBuilder, sol *lp.Solution) {
 			continue
 		}
 		dup := false
-		for _, p := range s.retain[key] {
+		for _, p := range s.last.paths[key] {
 			if dcSeqEqual(p, nodes) {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			s.retain[key] = append(s.retain[key], nodes)
+			s.last.paths[key] = append(s.last.paths[key], nodes)
 		}
 	}
 }
@@ -311,20 +330,23 @@ func dcSeqEqual(a, b []netmodel.DC) bool {
 // columns of the freshly built master: for each file, every retained path
 // of its (src, dst) pair is shifted to the file's release layer, checked
 // edge by edge against the graph, the storage policy and the file's
-// reachability window (trailing destination holds that overrun a shorter
-// deadline are trimmed), and grafted via the same materializePath the
+// reachability window, and grafted via the same materializePath the
 // pricing oracle uses — so duplicates the oracle would regenerate are
 // dropped and all lazily created rows follow the ordinary path. It returns
-// the number of columns actually added.
-func (s *Solver) seedRetainedPaths(pb *pathBuilder) (int, error) {
-	if len(s.retain) == 0 {
+// the number of columns actually added. Like the oracle's, a seeded path
+// ends at the file's deadline layer: trailing destination holds that
+// overrun a shorter deadline are trimmed, and a path that arrives sooner is
+// skipped, since it would deliver the file without holding it there until
+// the deadline.
+func seedRetainedPaths(pb *pathBuilder, retain map[netmodel.Link][][]netmodel.DC) (int, error) {
+	if len(retain) == 0 {
 		return 0, nil
 	}
 	horizon := pb.tg.Start() + pb.tg.Horizon()
 	var edges []int32
 	recycled := 0
 	for k, f := range pb.files {
-		paths := s.retain[netmodel.Link{From: f.Src, To: f.Dst}]
+		paths := retain[netmodel.Link{From: f.Src, To: f.Dst}]
 		if len(paths) == 0 {
 			continue
 		}
@@ -334,7 +356,7 @@ func (s *Solver) seedRetainedPaths(pb *pathBuilder) (int, error) {
 			for nsteps > f.Deadline && nodes[nsteps] == f.Dst && nodes[nsteps-1] == f.Dst {
 				nsteps--
 			}
-			if nsteps <= 0 || nsteps > f.Deadline || f.Release+nsteps > horizon {
+			if nsteps != f.Deadline || f.Release+nsteps > horizon {
 				continue
 			}
 			edges = edges[:0]
@@ -390,21 +412,36 @@ func (s *Solver) record(res *Result) {
 
 // cache stores the final resting state — also for infeasible outcomes,
 // whose basis warm-starts the engine's shed-and-retry re-solve of the same
-// slot with a subset of the files. The keys are copied: builders are
-// recycled, so their own slices are clobbered by the next slot's build
-// before the mapping reads them.
-func (s *Solver) cache(t int, sol *lp.Solution, colKeys, rowKeys []modelKey) {
+// slot with a subset of the files. The cache takes the builder's key
+// slices and hands it the ones it held to build the next model into.
+func (s *Solver) cache(t int, files []netmodel.File, sol *lp.Solution, colKeys, rowKeys *[]modelKey) {
 	s.prevT = t
 	s.valid = true
-	if sol.Basis != nil {
-		s.basis = sol.Basis
-		s.cols = append(s.cols[:0], colKeys...)
-		s.rows = append(s.rows[:0], rowKeys...)
-	} else {
-		s.basis = nil
-		s.cols = nil
-		s.rows = nil
+	s.last.files = s.last.files[:0]
+	for _, f := range files {
+		s.last.files = append(s.last.files, f.ID)
 	}
+	if sol.Basis != nil {
+		s.last.basis = sol.Basis
+		s.last.cols, *colKeys = *colKeys, s.last.cols[:0]
+		s.last.rows, *rowKeys = *rowKeys, s.last.rows[:0]
+	} else {
+		s.last.basis = nil
+		s.last.cols = nil
+		s.last.rows = nil
+	}
+}
+
+// from returns the cached state a solve of files maps its basis from: the
+// last solve's when it had every one of them, else the state the slot
+// opened with (see Solver).
+func (s *Solver) from(files []netmodel.File) *solveState {
+	for _, f := range files {
+		if !slices.Contains(s.last.files, f.ID) {
+			return &s.start
+		}
+	}
+	return &s.last
 }
 
 // graphFor returns a time-expanded graph starting at t with at least the
@@ -426,93 +463,66 @@ func (s *Solver) graphFor(nw *netmodel.Network, t, horizon int) (*timegraph.Grap
 	return tg, nil
 }
 
-// crashBasis builds the advanced starting basis for a from-scratch solve:
-// the all-logical cold default upgraded by crashNewFiles, so every file
-// starts with its crash route (immediate shortest-hop shipment, then
-// destination holdovers) basic instead of resting at zero flow. The implied
-// basic point already routes each file end to end, so phase 1 only repairs
-// capacity overflows where crash routes collide — a handful of pivots
-// instead of re-deriving every route by simplex steps.
-func crashBasis(b *builder) *lp.Basis {
-	nv, nr := len(b.colKeys), len(b.rowKeys)
-	out := &lp.Basis{NumVars: nv, NumRows: nr, Status: make([]lp.BasisStatus, nv+nr)}
-	for j := 0; j < nv; j++ {
-		out.Status[j] = lp.BasisAtLower
-	}
-	for i := 0; i < nr; i++ {
-		out.Status[nv+i] = lp.BasisBasic
-	}
-	crashNewFiles(out, nil, b)
-	return out.Normalize()
-}
-
-// mapBasis translates the cached basis snapshot, captured on a previous
-// model, onto the builder's freshly assembled model. Columns and rows whose
-// structural keys match carry their status over; unmatched columns rest at
-// their lower bound and unmatched rows keep their logicals basic (the cold
-// default for that position) — except that files absent from the previous
-// model get a crash route made basic (see crashNewFiles). The result is
-// normalized to the exact basic count the warm-start path requires; any
-// residual rank deficiency is left to the LU factorization's singularity
-// repair. Only map lookups are used — never map iteration — so the mapping
-// is bit-deterministic.
-func (s *Solver) mapBasis(b *builder) *lp.Basis {
-	out, rowStat := s.mapKeys(b.colKeys, b.rowKeys)
-	if out == nil {
-		return nil
-	}
-	crashNewFiles(out, rowStat, b)
-	return out.Normalize()
-}
-
-// mapKeys performs the formulation-independent half of basis translation:
-// columns and rows whose structural keys match carry their status over,
-// unmatched columns rest at their lower bound and unmatched rows keep their
-// logicals basic. The previous rows' status map is returned so the caller's
-// crash upgrade can tell carried files from new ones; it is the Solver's
-// own table, valid until the next solve. The caller normalizes after its
-// upgrade. Only map lookups are used — never map iteration — so the mapping
-// is bit-deterministic.
-func (s *Solver) mapKeys(curCols, curRows []modelKey) (*lp.Basis, map[modelKey]lp.BasisStatus) {
-	prev, prevCols, prevRows := s.basis, s.cols, s.rows
-	if prev == nil || prev.NumVars != len(prevCols) || prev.NumRows != len(prevRows) ||
+// startBasis returns the basis a solve of files on a model with the given
+// structural keys starts from: the cached state from names, translated
+// by key, or with no usable state the crash basis. warm reports a
+// translation. crash is the formulation's crashNewFiles.
+func (s *Solver) startBasis(files []netmodel.File, cols, rows []modelKey, crash func(*lp.Basis, map[modelKey]lp.BasisStatus)) (basis *lp.Basis, warm bool) {
+	src := s.from(files)
+	prev := src.basis
+	if !s.valid || prev == nil || prev.NumVars != len(src.cols) || prev.NumRows != len(src.rows) ||
 		len(prev.Status) != prev.NumVars+prev.NumRows {
-		return nil, nil
+		return mappedBasis(cols, rows, nil, nil, crash), false
 	}
 	if s.colStat == nil {
-		s.colStat = make(map[modelKey]lp.BasisStatus, len(prevCols))
-		s.rowStat = make(map[modelKey]lp.BasisStatus, len(prevRows))
+		s.colStat = make(map[modelKey]lp.BasisStatus, len(src.cols))
+		s.rowStat = make(map[modelKey]lp.BasisStatus, len(src.rows))
 	}
 	clear(s.colStat)
 	clear(s.rowStat)
-	for j, k := range prevCols {
+	for j, k := range src.cols {
 		s.colStat[k] = prev.Status[j]
 	}
-	for i, k := range prevRows {
+	for i, k := range src.rows {
 		s.rowStat[k] = prev.Status[prev.NumVars+i]
 	}
-	nv, nr := len(curCols), len(curRows)
+	return mappedBasis(cols, rows, s.colStat, s.rowStat, crash), true
+}
+
+// mappedBasis builds the starting basis of a model with the given
+// structural keys: a column or row whose key colStat or rowStat holds
+// carries that status over, the rest take the cold default (columns at
+// their lower bound, logicals basic). crash then makes basic the crash
+// routes of the files rowStat does not cover — with nil tables, of every
+// file: the crash basis of a from-scratch solve. The basic count is
+// normalized to what the warm-start path requires; any residual rank
+// deficiency is left to the LU factorization's singularity repair. Only map
+// lookups are used — never map iteration — so the result is
+// bit-deterministic.
+func mappedBasis(cols, rows []modelKey, colStat, rowStat map[modelKey]lp.BasisStatus, crash func(*lp.Basis, map[modelKey]lp.BasisStatus)) *lp.Basis {
+	nv, nr := len(cols), len(rows)
 	out := &lp.Basis{NumVars: nv, NumRows: nr, Status: make([]lp.BasisStatus, nv+nr)}
-	for j, k := range curCols {
-		if st, ok := s.colStat[k]; ok {
-			out.Status[j] = st
-		} else {
-			out.Status[j] = lp.BasisAtLower
+	for j, k := range cols {
+		st, ok := colStat[k]
+		if !ok {
+			st = lp.BasisAtLower
 		}
+		out.Status[j] = st
 	}
-	for i, k := range curRows {
-		if st, ok := s.rowStat[k]; ok {
-			out.Status[nv+i] = st
-		} else {
-			out.Status[nv+i] = lp.BasisBasic
+	for i, k := range rows {
+		st, ok := rowStat[k]
+		if !ok {
+			st = lp.BasisBasic
 		}
+		out.Status[nv+i] = st
 	}
-	return out, s.rowStat
+	crash(out, rowStat)
+	return out.Normalize()
 }
 
 // crashNewFiles upgrades the mapped basis for files the previous model did
-// not contain (on consecutive-slot solves that is all of them; on same-slot
-// shedding retries, none). The cold default rests every such file's flow
+// not contain (on consecutive-slot and from-scratch solves that is all of
+// them; on same-slot shedding retries, none). The cold default rests every such file's flow
 // columns at zero, which violates its conservation equalities by the full
 // file size and leaves phase 1 to route the file from scratch. Instead, each
 // new file's cheapest crash route — ship along a BFS shortest-hop path
@@ -525,7 +535,7 @@ func (s *Solver) mapKeys(curCols, curRows []modelKey) (*lp.Basis, map[modelKey]l
 // the file end to end — phase 1 only has to repair capacity overflows where
 // crash routes collide. Files whose route columns are missing (storage
 // policy, clamped horizon) keep the cold default.
-func crashNewFiles(out *lp.Basis, prevRowStat map[modelKey]lp.BasisStatus, b *builder) {
+func (b *builder) crashNewFiles(out *lp.Basis, prevRowStat map[modelKey]lp.BasisStatus) {
 	var consRow map[modelKey]int
 	for k := range b.files {
 		cols, rows, ok := b.crashRoute(k)
@@ -566,25 +576,20 @@ func crashNewFiles(out *lp.Basis, prevRowStat map[modelKey]lp.BasisStatus, b *bu
 	}
 }
 
-// crashRoute returns the crash route of file k as parallel column/row-key
-// slices: one model column per route edge (shortest-hop path transfers,
-// then destination holdovers up to the deadline layer) and the
-// conservation-row key of that edge's tail node. ok is false when any
-// needed column is absent from the model.
+// crashRoute returns the crash route of file k (b.crashPath[k], computed by
+// build) as parallel column/row-key slices: one model column per route edge
+// (shortest-hop path transfers, then destination holdovers up to the
+// deadline layer) and the conservation-row key of that edge's tail node. ok
+// is false when the file has no crash route or any needed column is absent
+// from the model.
 func (b *builder) crashRoute(k int) (cols []lp.VarID, rows []modelKey, ok bool) {
+	path := b.crashPath[k]
+	if path == nil {
+		return nil, nil, false
+	}
 	f := b.files[k]
-	path, ok := shortestHopPath(b.tg.Network(), f.Src, f.Dst)
-	if !ok {
-		return nil, nil, false
-	}
 	hops := len(path) - 1
-	deadlineLayer := f.Release + f.Deadline
-	if clamp := b.tg.Start() + b.tg.Horizon(); deadlineLayer > clamp {
-		deadlineLayer = clamp
-	}
-	if f.Release+hops > deadlineLayer {
-		return nil, nil, false
-	}
+	deadlineLayer := b.deadlineLayer(f)
 	step := func(from, to netmodel.DC, slot int) bool {
 		e, found := b.tg.EdgeAt(from, to, slot)
 		if !found {

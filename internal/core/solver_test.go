@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/interdc/postcard/internal/lp"
@@ -50,7 +52,7 @@ func chainFiles(rng *rand.Rand, nw *netmodel.Network, t, nextID int) []netmodel.
 // the stateless Solve on the identical ledger state: every slot must agree
 // on status and optimal cost (up to the Epsilon tie-breaking term), the
 // warm plan must commit cleanly, and the cache must demonstrably fire
-// (warm-started solves, graph reuses, presolve reductions).
+// (warm-started solves, graph reuses, column generation).
 func TestSolverMatchesStatelessSolveChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	nw := chainNetwork(t, 5, 60)
@@ -111,9 +113,8 @@ func TestSolverMatchesStatelessSolveChain(t *testing.T) {
 	if st.GraphReuses < 1 {
 		t.Errorf("GraphReuses = %d, want >= 1", st.GraphReuses)
 	}
-	// Delayed generation replaces presolve on the per-slot masters (rounds
-	// price against exact duals, so presolve is bypassed); the chain must
-	// show generation actually restricting the models.
+	// The chain must show delayed generation actually restricting the
+	// per-slot masters.
 	if st.ColGenRounds == 0 || st.ColGenUniverse == 0 {
 		t.Errorf("column generation never fired across the chain: rounds=%d universe=%d",
 			st.ColGenRounds, st.ColGenUniverse)
@@ -243,10 +244,129 @@ func TestSolverShedRetryWarmStarts(t *testing.T) {
 	if math.Abs(retry.CostPerSlot-2*9) > 1e-6 {
 		t.Errorf("retry cost %v, want 18", retry.CostPerSlot)
 	}
-	// The infeasible solve's basis may or may not survive presolve mapping;
-	// what matters is the retry is correct and the cache accepted same-slot
-	// reuse without a reset (a reset would also have dropped the graph).
+	if !retry.WarmStarted {
+		t.Error("same-slot retry cold-started instead of reusing the infeasible solve's basis")
+	}
+	// The cache accepted same-slot reuse without a reset (a reset would
+	// also have dropped the graph).
 	if solver.Stats().GraphReuses < 1 {
 		t.Errorf("same-slot retry rebuilt the graph (GraphReuses = %d)", solver.Stats().GraphReuses)
+	}
+}
+
+// TestSolverBatchIgnoresSmallerSolves mirrors the admission daemon, which
+// re-solves a slot's open batch whenever a transfer joins it and, depending
+// on timing, may or may not have solved the smaller batches first. Solver A
+// solves every prefix of each slot's batch, solver B only the whole batch;
+// both commit the whole batch's plan. Every slot must commit the identical
+// plan at the identical cost, under both formulations, since the batch's
+// solve starts from the state its slot opened with either way. So must an
+// arc solver C, restored from a JSON snapshot of A taken right after the
+// slot's first, smallest solve (snapshots do not carry the path master's
+// retained paths).
+func TestSolverBatchIgnoresSmallerSolves(t *testing.T) {
+	const slots = 9
+	for _, cfg := range []Config{{}, {Pricing: PricingPath}} {
+		for _, seed := range []int64{1, 7, 23} {
+			solverBatchChain(t, cfg, seed, slots)
+		}
+	}
+}
+
+func solverBatchChain(t *testing.T, cfg Config, seed int64, slots int) {
+	rng := rand.New(rand.NewSource(seed))
+	nw := chainNetwork(t, 5, 60)
+	var batches [][]netmodel.File
+	nextID := 0
+	for slot := 0; slot < slots; slot++ {
+		files := chainFiles(rng, nw, slot, nextID)
+		nextID += len(files)
+		batches = append(batches, files)
+	}
+	ledgerA, err := netmodel.NewLedger(nw, netmodel.MaxCharging(slots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledgerB, err := netmodel.NewLedger(nw, netmodel.MaxCharging(slots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := NewSolver(&cfg), NewSolver(&cfg)
+	for slot, files := range batches {
+		var ra *Result
+		rc := []*Result{}
+		for n := 1; n <= len(files); n++ {
+			if ra, err = a.Solve(ledgerA, files[:n], slot); err != nil {
+				t.Fatalf("pricing %v seed %d slot %d, %d of %d files: %v", cfg.Pricing, seed, slot, n, len(files), err)
+			}
+			if n == 1 && cfg.Pricing == PricingArc {
+				raw, err := json.Marshal(a.Snapshot())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var snap SolverSnapshot
+				if err := json.Unmarshal(raw, &snap); err != nil {
+					t.Fatal(err)
+				}
+				c := NewSolver(&cfg)
+				c.Restore(nw, &snap)
+				res, err := c.Solve(ledgerA, files, slot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rc = append(rc, res)
+			}
+		}
+		rb, err := b.Solve(ledgerB, files, slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ra.Status != lp.Optimal || rb.Status != lp.Optimal {
+			t.Fatalf("pricing %v seed %d slot %d: status %v / %v", cfg.Pricing, seed, slot, ra.Status, rb.Status)
+		}
+		for i, res := range append([]*Result{ra}, rc...) {
+			if res.CostPerSlot != rb.CostPerSlot || !reflect.DeepEqual(res.Schedule.Actions(), rb.Schedule.Actions()) {
+				t.Fatalf("pricing %v seed %d slot %d: the batch's plan depends on the smaller batches solved before it (restored %v): cost %v, %v alone",
+					cfg.Pricing, seed, slot, i > 0, res.CostPerSlot, rb.CostPerSlot)
+			}
+		}
+		if err := ra.Schedule.Apply(ledgerA); err != nil {
+			t.Fatal(err)
+		}
+		if err := rb.Schedule.Apply(ledgerB); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSolverPathRecyclesOnlyFullLengthPaths drives a warm path-pricing
+// Solver over a chain whose files have deadlines of 1 to 3 slots. A path
+// recycled from a file with a shorter deadline arrives before a later
+// file's deadline; seeded as is, it would deliver that file without holding
+// it at its destination, and the verifier would reject the plan.
+func TestSolverPathRecyclesOnlyFullLengthPaths(t *testing.T) {
+	const slots = 9
+	rng := rand.New(rand.NewSource(1))
+	nw := chainNetwork(t, 5, 60)
+	ledger, err := netmodel.NewLedger(nw, netmodel.MaxCharging(slots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := NewSolver(&Config{Pricing: PricingPath})
+	nextID, recycled := 0, 0
+	for slot := 0; slot < slots; slot++ {
+		files := chainFiles(rng, nw, slot, nextID)
+		nextID += len(files)
+		res, err := solver.Solve(ledger, files, slot)
+		if err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		recycled += res.PathRecycled
+		if err := res.Schedule.Apply(ledger); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if recycled == 0 {
+		t.Error("no path was recycled: the chain does not exercise seeding")
 	}
 }

@@ -105,7 +105,7 @@ type Model struct {
 	epoch int
 
 	// workspace is the simplex state of the last successful solve (see
-	// solveDirect), kept like stamp/pos across edits and Reset.
+	// Solve), kept like stamp/pos across edits and Reset.
 	workspace *simplex
 }
 
@@ -270,11 +270,6 @@ type Work struct {
 	// the share spent reaching feasibility.
 	Iterations int `metric:"iterations_total,Simplex iterations."`
 	Phase1Iter int `metric:"phase1_iterations_total,Phase-1 simplex iterations."`
-	// PresolveCols and PresolveRows count the variables and constraints the
-	// presolve pass removed before the simplex ran (zero without
-	// Options.Presolve).
-	PresolveCols int `metric:"presolve_cols_total,Columns removed by presolve."`
-	PresolveRows int `metric:"presolve_rows_total,Rows removed by presolve."`
 	// SparseSolves and DenseSolves count the basis triangular solves (FTRAN
 	// of entering columns, BTRAN of pivot-row unit vectors and phase-1 cost
 	// corrections, and right-hand-side solves) that took the hyper-sparse
@@ -320,8 +315,7 @@ type Solution struct {
 	// Basis is the final simplex resting state, suitable for seeding a
 	// subsequent solve via Options.InitialBasis. It is captured for every
 	// solve that ran the simplex (including infeasible ones, whose basis
-	// still warm-starts a relaxed retry). Under Options.Presolve it is
-	// expressed in the original model's computational form.
+	// still warm-starts a relaxed retry).
 	Basis *Basis
 	// WarmStarted reports whether the solve actually started from
 	// Options.InitialBasis (false when the snapshot was rejected and the
@@ -350,13 +344,6 @@ type Options struct {
 	// ignored and the solve cold-starts; correctness never depends on the
 	// snapshot's quality.
 	InitialBasis *Basis
-
-	// Presolve enables a reduction pass before the simplex: fixed columns
-	// are substituted out, singleton rows are folded into variable bounds,
-	// vacuous rows and unconstrained columns are dropped. The returned
-	// Solution (including duals, reduced costs and Basis) is expressed in
-	// the original model via the postsolve map.
-	Presolve bool
 
 	// The fields below are set only by this package's tests; zero selects
 	// the default.

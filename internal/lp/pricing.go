@@ -58,14 +58,6 @@ type PricingOracle interface {
 // oracle verified slack — the extended snapshot stays primal feasible and
 // the re-solve resumes from dual pricing instead of phase 1.
 //
-// Pricing is only sound against an exact dual certificate of the restricted
-// master, so rounds always solve with presolve disabled: the postsolve
-// preserves the duality identity but not exactness — when a singleton row
-// is folded into a column's bound and that column is later removed as
-// empty, the folded row's dual is unrecoverable and reported as zero, which
-// makes every delayed column priced through that row look unattractive and
-// terminates generation at a suboptimal restriction.
-//
 // Unbounded and iteration-limited outcomes return as-is (a ray of the
 // restriction is a ray of the full model). The returned Solution aggregates
 // work counters across all rounds and describes the generation itself in
@@ -79,7 +71,6 @@ func SolvePriced(m *Model, oracle PricingOracle, opts *Options) (*Solution, erro
 	if opts != nil {
 		cur = *opts
 	}
-	cur.Presolve = false
 	var work Work
 	warmStarted := false
 	for {

@@ -65,10 +65,10 @@ func solutionDiff(got, want *Solution) string {
 // cold and warm solves, column and row additions followed by a re-solve from
 // the extended basis (the SolvePriced round protocol), Resets to smaller and
 // larger models, and infeasible, iteration-limited and erroring solves in
-// between, under varied refactorization, perturbation and presolve
-// settings. Every result must equal the same solve of a fresh copy of the
-// model bit for bit: status, objective, primal and dual values, reduced
-// costs, basis and work counters.
+// between, under varied refactorization and perturbation settings. Every
+// result must equal the same solve of a fresh copy of the model bit for
+// bit: status, objective, primal and dual values, reduced costs, basis and
+// work counters.
 func FuzzRecycledSolve(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 2, 3, 1})
 	f.Add(int64(2), []byte{4, 0, 5, 1, 6, 0, 7, 1})
@@ -86,7 +86,6 @@ func FuzzRecycledSolve(f *testing.F) {
 			opts := &Options{
 				refactorEvery: []int{0, 3, 7}[rng.Intn(3)],
 				perturb:       []float64{0, -1, 1e-5}[rng.Intn(3)],
-				Presolve:      rng.Intn(4) == 0,
 			}
 			var what string
 			switch op % 9 {

@@ -1235,21 +1235,11 @@ func (s *simplex) clearPerturbation() bool {
 // that workspace. Status is always set on the returned Solution when err is
 // nil.
 //
-// With Options.Presolve the model is reduced first and the solution mapped
-// back; with Options.InitialBasis the simplex is seeded from the snapshot
-// (falling back to a cold start when the snapshot does not fit).
+// With Options.InitialBasis the simplex is seeded from the snapshot (falling
+// back to a cold start when the snapshot does not fit). The workspace is
+// handed back only when the solve succeeds: one that errors may have stopped
+// anywhere, so the next solve starts from a new workspace instead.
 func (m *Model) Solve(opts *Options) (*Solution, error) {
-	if opts != nil && opts.Presolve {
-		return m.solvePresolved(opts)
-	}
-	return m.solveDirect(opts)
-}
-
-// solveDirect runs the simplex on the model as-is, in the workspace the
-// Model retains. The workspace is handed back only when the solve succeeds:
-// one that errors may have stopped anywhere, so the next solve starts from a
-// new workspace instead.
-func (m *Model) solveDirect(opts *Options) (*Solution, error) {
 	s, err := m.loadSimplex(m.workspace, opts)
 	m.workspace = nil
 	if err != nil {

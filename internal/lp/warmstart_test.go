@@ -236,8 +236,8 @@ func TestWarmStartAfterInfeasible(t *testing.T) {
 }
 
 // TestBasisNormalize checks the basic-count repair used when a basis is
-// assembled from heterogeneous sources (cross-model mapping, presolve
-// projection).
+// assembled from heterogeneous sources (cross-model mapping, crash-route
+// upgrades).
 func TestBasisNormalize(t *testing.T) {
 	// Too many basics: the surplus is demoted from the end (logicals first).
 	b := &Basis{NumVars: 2, NumRows: 2, Status: []BasisStatus{

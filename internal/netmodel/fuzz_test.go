@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"os"
@@ -11,10 +12,11 @@ import (
 )
 
 // FuzzReadInstance fuzzes the JSON instance decoder: arbitrary input must
-// either fail with an error or yield an Instance that re-encodes and
-// re-decodes to the identical structure, and that Build either rejects or
-// materializes without panicking. The seed corpus includes the shipped
-// cmd/postcard-solve fixture plus handwritten edge cases.
+// either fail with an error or, when it holds exactly one JSON value, yield
+// an Instance that re-encodes and re-decodes to the identical structure,
+// and that Build either rejects or materializes without panicking. The seed
+// corpus includes the shipped cmd/postcard-solve fixture plus handwritten
+// edge cases.
 func FuzzReadInstance(f *testing.F) {
 	if data, err := os.ReadFile("../../cmd/postcard-solve/testdata/relay.json"); err == nil {
 		f.Add(data)
@@ -26,6 +28,8 @@ func FuzzReadInstance(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"datacenters":2,"unknown":true}`))
+	f.Add([]byte(`{"datacenters":2} {"datacenters":3}`))
+	f.Add([]byte(`{"datacenters":2} not json`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inst, err := ReadInstance(bytes.NewReader(data))
@@ -34,6 +38,9 @@ func FuzzReadInstance(f *testing.F) {
 				t.Fatalf("ReadInstance returned both an instance and error %v", err)
 			}
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("ReadInstance accepted %q, which is not one JSON value", data)
 		}
 		// Round-trip: what we decoded must encode and decode losslessly
 		// (JSON numbers round-trip exactly through Go's float formatting).

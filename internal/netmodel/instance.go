@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"github.com/interdc/postcard/internal/jsonio"
 )
 
 // Instance is the JSON-serializable description of one offline problem:
@@ -33,12 +35,13 @@ type InstanceFile struct {
 	Release  int     `json:"release"`
 }
 
-// ReadInstance decodes an Instance from JSON.
+// ReadInstance decodes an Instance from JSON. The input must hold the one
+// instance object and nothing else but whitespace.
 func ReadInstance(r io.Reader) (*Instance, error) {
 	var inst Instance
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&inst); err != nil {
+	if err := jsonio.DecodeOne(dec, &inst); err != nil {
 		return nil, fmt.Errorf("netmodel: decoding instance: %w", err)
 	}
 	return &inst, nil

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/interdc/postcard/internal/jsonio"
 	"github.com/interdc/postcard/internal/telemetry"
 )
 
@@ -64,7 +65,7 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 	var req TransferRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTransferBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := jsonio.DecodeOne(dec, &req); err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -59,10 +60,11 @@ func TestServerHorizonBound(t *testing.T) {
 
 // FuzzTransferRequest drives POST /v1/transfers with hostile bodies: zero,
 // NaN, infinite and huge sizes, src = dst, out-of-range datacenters,
-// non-positive or huge deadlines, huge releases, malformed JSON and bodies
-// past the size limit. The answer must be one of the four the route
-// documents, and anything but 200 must leave no reservation and no plan
-// record behind.
+// non-positive or huge deadlines, huge releases, malformed JSON, data after
+// the request object and bodies past the size limit. The answer must be one
+// of the four the route documents, a 200 or 422 only for a body holding
+// exactly one JSON value, and anything but 200 must leave no reservation
+// and no plan record behind.
 func FuzzTransferRequest(f *testing.F) {
 	f.Add(0, 1, 5.0, 2, 0, "", false)
 	f.Add(0, 1, 0.0, 2, 0, "", false)
@@ -78,6 +80,9 @@ func FuzzTransferRequest(f *testing.F) {
 	f.Add(0, 0, 0.0, 0, 0, `{"src":0,"dst":1,"size_gb":1e999,"deadline":2}`, false)
 	f.Add(0, 0, 0.0, 0, 0, `{"src":0,"dst":1,"size_gb":5,"deadline":2,"x":1}`, false)
 	f.Add(0, 0, 0.0, 0, 0, `[`, false)
+	f.Add(0, 0, 0.0, 0, 0, `{"src":0,"dst":1,"size_gb":5,"deadline":2}{"src":0,"dst":1,"size_gb":5,"deadline":2}`, false)
+	f.Add(0, 0, 0.0, 0, 0, `{"src":0,"dst":1,"size_gb":5,"deadline":2} not json`, false)
+	f.Add(0, 0, 0.0, 0, 0, `{"src":0,"dst":1,"size_gb":5,"deadline":2}}`, false)
 	f.Add(0, 1, 5.0, 2, 0, "", true)
 	f.Fuzz(func(t *testing.T, src, dst int, size float64, deadline, release int, raw string, oversize bool) {
 		s, err := New(Config{
@@ -105,6 +110,9 @@ func FuzzTransferRequest(f *testing.F) {
 		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/transfers", strings.NewReader(body)))
 
 		shown := strings.TrimSpace(body)
+		if (rec.Code == http.StatusOK || rec.Code == http.StatusUnprocessableEntity) && !json.Valid([]byte(body)) {
+			t.Errorf("code %d for %q, which is not one JSON value", rec.Code, shown)
+		}
 		switch rec.Code {
 		case http.StatusOK:
 			if len(s.plans) != 1 || s.ctrl.Reservations().TotalReserved() <= 0 {

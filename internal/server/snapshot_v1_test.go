@@ -16,7 +16,10 @@ import (
 //	go test ./internal/server -run SnapshotV1 -update
 //
 // Re-recording defeats the test's purpose — the file pins a snapshot an
-// older build wrote — so only do it when SnapshotVersion changes.
+// older build wrote — so only do it when SnapshotVersion changes. A
+// deliberate change to the solver's tie-breaks moves the uninterrupted
+// costs alone: re-record in a copy of the tree and take back only
+// snapshot-v1.want.json, never the snapshot.
 var update = flag.Bool("update", false, "rewrite testdata/snapshot-v1*.json")
 
 const (

@@ -384,8 +384,7 @@ func (r *FigureResult) Table() string {
 // SolverTable renders the aggregated LP solver counters for every
 // scheduler that performed instrumented solves (Solver.Solves > 0), one row
 // per scheduler: solve count, warm-start acceptance, graph skeleton reuses,
-// simplex iterations with the phase-1 share, the columns/rows the presolve
-// pass removed, basis-solve telemetry, and the model-sparsity counters —
+// simplex iterations with the phase-1 share, basis-solve telemetry, and the model-sparsity counters —
 // pruned% (share of the unpruned variable universe removed by deadline
 // reachability), cg-rnds (column-generation rounds) and gen% (share of the
 // delayed universe actually materialized; 100% means generation is not
@@ -409,8 +408,8 @@ func (r *FigureResult) SolverTable() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "LP solver work (fig %d):\n", r.Setting.Figure)
-	fmt.Fprintf(&b, "%-16s %8s %8s %8s %10s %10s %10s %10s %8s %8s %8s %8s %8s %8s %8s\n",
-		"scheduler", "solves", "warm", "reuses", "iters", "phase1", "pre-cols", "pre-rows",
+	fmt.Fprintf(&b, "%-16s %8s %8s %8s %10s %10s %8s %8s %8s %8s %8s %8s %8s\n",
+		"scheduler", "solves", "warm", "reuses", "iters", "phase1",
 		"sparse%", "density", "dvx-rst", "d-recmp", "pruned%", "cg-rnds", "gen%")
 	for _, s := range r.Schedulers {
 		if s.Solver.Solves == 0 {
@@ -431,9 +430,9 @@ func (r *FigureResult) SolverTable() string {
 		if st.ColGenUniverse > 0 {
 			gen = 100 * float64(st.ColGenColumns) / float64(st.ColGenUniverse)
 		}
-		fmt.Fprintf(&b, "%-16s %8d %8d %8d %10d %10d %10d %10d %7.1f%% %8.3f %8d %8d %7.1f%% %8d %7.1f%%\n",
+		fmt.Fprintf(&b, "%-16s %8d %8d %8d %10d %10d %7.1f%% %8.3f %8d %8d %7.1f%% %8d %7.1f%%\n",
 			s.Name, st.Solves, st.WarmSolves, st.GraphReuses,
-			st.Iterations, st.Phase1Iter, st.PresolveCols, st.PresolveRows,
+			st.Iterations, st.Phase1Iter,
 			hit, density, st.DevexResets, st.DualRecomputes,
 			pruned, st.ColGenRounds, gen)
 	}

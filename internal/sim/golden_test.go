@@ -46,7 +46,6 @@ func goldenResult() *FigureResult {
 					Counters: core.Counters{
 						Work: lp.Work{
 							Iterations: 4210, Phase1Iter: 380,
-							PresolveCols: 96, PresolveRows: 64,
 							SparseSolves: 900, DenseSolves: 300,
 							SolveNNZ: 2400, SolveDim: 9600,
 							DevexResets: 21, DualRecomputes: 154,

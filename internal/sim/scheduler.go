@@ -64,11 +64,11 @@ type Postcard struct {
 	// Label overrides Name; defaults to "postcard" ("postcard-warm" when
 	// WarmStart is set).
 	Label string
-	// WarmStart enables the incremental core.Solver: consecutive slots
-	// reuse the time-expanded graph skeleton and warm-start each LP from
-	// the previous slot's basis (with the LP presolve pass enabled). Costs
-	// match the cold path up to the optimizer's Epsilon tie-breaking term;
-	// see core.Solver.
+	// WarmStart keeps one incremental core.Solver across slots: consecutive
+	// slots reuse the time-expanded graph skeleton and warm-start each LP
+	// from the previous slot's basis. Every slot reaches the cold path's
+	// optimal objective, but the plans may differ, so run costs drift
+	// apart; see core.Solver.
 	WarmStart bool
 
 	solver *core.Solver    // lazily created when WarmStart is set
@@ -114,14 +114,10 @@ func (p *Postcard) Schedule(ledger *netmodel.Ledger, files []netmodel.File, slot
 		}
 		res, err = p.solver.Solve(ledger, files, slot)
 	} else {
-		res, err = core.Solve(ledger, files, slot, p.Config)
-		if err == nil && len(files) > 0 {
-			p.stats.Solves++
-			telemetry.Add(&p.stats.Counters, res.Counters)
-			if p.Config != nil && p.Config.Pricing == core.PricingPath {
-				p.stats.PathSolves++
-			}
-		}
+		// A fresh Solver per slot is core.Solve with its counters kept.
+		sv := core.NewSolver(p.Config)
+		res, err = sv.Solve(ledger, files, slot)
+		telemetry.Add(&p.stats, sv.Stats())
 	}
 	if err != nil {
 		var ue *core.UnroutableError
@@ -137,8 +133,8 @@ func (p *Postcard) Schedule(ledger *netmodel.Ledger, files []netmodel.File, slot
 }
 
 // SolverStats implements SolverStatsReporter. With WarmStart the counters
-// are the incremental core.Solver's; otherwise the adapter counts its cold
-// solves directly (WarmSolves and GraphReuses stay zero by construction),
+// are the incremental core.Solver's; otherwise they total the per-slot
+// fresh Solvers' (WarmSolves and GraphReuses stay zero by construction),
 // so cold-versus-warm iteration totals are comparable through one surface.
 func (p *Postcard) SolverStats() core.SolveStats {
 	if p.solver != nil {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
@@ -10,7 +11,8 @@ import (
 // FuzzReadTrace fuzzes the JSON trace decoder: arbitrary input must either
 // fail with an error or yield a Trace whose accessors (MaxSlot,
 // TotalVolume, FilesAt, Replay) never panic, whose replay cursor agrees
-// with the stateless scan, and which round-trips through WriteJSON. The
+// with the stateless scan, and which round-trips through WriteJSON; only
+// input holding exactly one JSON value may decode at all. The
 // seed corpus includes a recorded trace, hostile edge cases (negative and
 // enormous release slots), and the cmd/postcard-solve fixture (an
 // instance, not a trace — the decoder must cope gracefully).
@@ -37,6 +39,8 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte(`{"files":[{"id":1,"src":0,"dst":1,"size":1,"deadline":1,"release":1099511627776}]}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`0`))
+	f.Add([]byte(`{"files":[]} {"files":[]}`))
+	f.Add([]byte(`{"files":[]} not json`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadTrace(bytes.NewReader(data))
@@ -45,6 +49,9 @@ func FuzzReadTrace(f *testing.F) {
 				t.Fatalf("ReadTrace returned both a trace and error %v", err)
 			}
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("ReadTrace accepted %q, which is not one JSON value", data)
 		}
 		maxSlot := tr.MaxSlot()
 		if len(tr.Files) == 0 && maxSlot != -1 {

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"github.com/interdc/postcard/internal/jsonio"
 	"github.com/interdc/postcard/internal/netmodel"
 )
 
@@ -263,10 +264,11 @@ func (tr *Trace) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadTrace deserializes a trace written by WriteJSON.
+// ReadTrace deserializes a trace written by WriteJSON. The input must hold
+// the one trace object and nothing else but whitespace.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	var tr Trace
-	if err := json.NewDecoder(r).Decode(&tr); err != nil {
+	if err := jsonio.DecodeOne(json.NewDecoder(r), &tr); err != nil {
 		return nil, fmt.Errorf("workload: decoding trace: %w", err)
 	}
 	return &tr, nil

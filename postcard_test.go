@@ -158,3 +158,59 @@ func TestBenchScaleFigureShape(t *testing.T) {
 		t.Errorf("expected postcard to beat flow-based on fig7, ratio %.3f", r7)
 	}
 }
+
+// TestCIScaleFigureCosts pins the CI-scale costs of Figs. 4 and 6 (the
+// numbers `postcard-figs -fig N -q` prints) for the four Postcard pipelines
+// and the flow-based baseline, to 1e-9 relative, together with the files
+// each scheduler dropped. A change that moves any of them changes the
+// published results and must update EXPERIMENTS.md together with this
+// table. Figs. 5 and 7 are left to CI's fig5-smoke job: their delay-tolerant
+// runs take tens of seconds.
+func TestCIScaleFigureCosts(t *testing.T) {
+	type pin struct {
+		cost    float64
+		dropped int
+	}
+	want := map[int]map[string]pin{
+		4: {
+			"postcard":      {2681.8645141596094, 0},
+			"postcard-warm": {2681.86451415961, 0},
+			"postcard-path": {2694.7753064433973, 0},
+			"postcard-fast": {2681.86451415961, 0},
+			"flow-based":    {2479.5255404396744, 0},
+		},
+		6: {
+			"postcard":      {2778.419177285214, 0},
+			"postcard-warm": {2778.7836099984197, 0},
+			"postcard-path": {2775.766896737802, 0},
+			"postcard-fast": {2085.5571454488504, 29},
+			"flow-based":    {2650.4839255710945, 0},
+		},
+	}
+	names := []string{"postcard", "postcard-warm", "postcard-path", "postcard-fast", "flow-based"}
+	for _, fig := range []int{4, 6} {
+		setting, err := postcard.SettingByFigure(fig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheds := make([]postcard.Scheduler, len(names))
+		for i, name := range names {
+			if scheds[i], err = postcard.SchedulerByName(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := postcard.RunFigure(postcard.FigureConfig{
+			Setting: setting, Scale: postcard.CIScale(), Schedulers: scheds,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range res.Schedulers {
+			w := want[fig][s.Name]
+			if math.Abs(s.Final.Mean-w.cost) > 1e-9*w.cost || s.DroppedFiles != w.dropped {
+				t.Errorf("fig %d %s: cost %v with %d dropped, want %v with %d",
+					fig, s.Name, s.Final.Mean, s.DroppedFiles, w.cost, w.dropped)
+			}
+		}
+	}
+}
