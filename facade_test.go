@@ -43,7 +43,6 @@ func TestClientOptionsMatchSolve(t *testing.T) {
 
 	for _, c := range []*postcard.Client{
 		postcard.New(postcard.WithPricing(postcard.PricingPath)),
-		postcard.New(postcard.WithPricing(postcard.PricingPath), postcard.WithPricingWorkers(2)),
 		postcard.New(postcard.WithPricing(postcard.PricingPath), postcard.WithWarmStart()),
 	} {
 		ledger, files = build()

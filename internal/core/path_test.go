@@ -128,7 +128,7 @@ func TestPathPricingWorkerCounts(t *testing.T) {
 			{ID: 2, Src: 6, Dst: 1, Size: 18, Release: 1, Deadline: 4},
 			{ID: 3, Src: 5, Dst: 3, Size: 12, Release: 0, Deadline: 3},
 		}
-		cfg := Config{Pricing: PricingPath, PricingWorkers: workers}
+		cfg := Config{Pricing: PricingPath, pricingWorkers: workers}
 		res, err := Solve(ledger, files, 0, &cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -397,8 +397,8 @@ func FuzzPathPricingObjective(f *testing.F) {
 		solveAt := 0
 
 		configs := []Config{
-			{Storage: policy, Pricing: PricingPath},                                          // path master
-			{Storage: policy, Pricing: PricingPath, PricingWorkers: 3, DisablePruning: true}, // path master, permissive reach, parallel pricing
+			{Storage: policy, Pricing: PricingPath},                       // path master
+			{Storage: policy, Pricing: PricingPath, DisablePruning: true}, // path master, permissive reach
 			{Storage: policy}, // arc colgen default
 			{Storage: policy, DisableColGen: true, DisablePruning: true}, // full arc model
 		}

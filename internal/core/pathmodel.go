@@ -61,11 +61,7 @@ type pathCol struct {
 // materializes every attractive path column together with whatever
 // capacity and charge rows its edges touch for the first time.
 type pathBuilder struct {
-	tg     *timegraph.Graph
-	ledger *netmodel.Ledger
-	files  []netmodel.File
-	reach  []timegraph.Reachability
-	conf   Config
+	instance
 
 	model *lp.Model
 	// demandRow[k] is file k's convexity row (sum of its path columns plus
@@ -101,7 +97,7 @@ type pathBuilder struct {
 	// reduced cost price + Σ materialized charge duals — across them. That
 	// makes pricing see an untouched link's true marginal cost instead of
 	// zero, which is what keeps the round count flat as the network grows.
-	tight     []bool    // per edge: absent charge row is tight at zero flow
+	tight     []bool    // per edge in some file's window: absent charge row is tight at zero flow
 	blocked   []bool    // per edge: zero residual capacity, excluded outright
 	linkOf    []int     // per edge: dense link id (-1 for storage edges)
 	linkPrice []float64 // per link id: the link's price
@@ -152,11 +148,7 @@ func newPathBuilder(recycle *pathBuilder, tg *timegraph.Graph, ledger *netmodel.
 		pb.colKeys = pb.colKeys[:0]
 		pb.rowKeys = pb.rowKeys[:0]
 	}
-	pb.tg = tg
-	pb.ledger = ledger
-	pb.files = files
-	pb.reach = reach
-	pb.conf = conf
+	pb.instance = instance{tg: tg, ledger: ledger, files: files, reach: reach, conf: conf}
 	pb.varUniverse, pb.prunedVars = 0, 0
 	return pb
 }
@@ -185,6 +177,15 @@ func (pb *pathBuilder) build() error {
 		pb.capRow[i], pb.chargeRow[i], pb.support[i] = -1, -1, false
 		pb.linkOf[i] = -1
 	}
+	// Edges past every file's window exist only on a recycled graph with
+	// surplus layers. They must not count as tight, or the certificate pass
+	// would split link budgets differently than on a fresh graph.
+	lastSlot := -1
+	for _, f := range pb.files {
+		if _, last, ok := pb.tg.FileWindow(f); ok {
+			lastSlot = max(lastSlot, last)
+		}
+	}
 	pb.tg.Edges(func(e timegraph.Edge) {
 		if e.Storage {
 			return
@@ -197,7 +198,8 @@ func (pb *pathBuilder) build() error {
 			pb.linkPrice = append(pb.linkPrice, e.Price)
 		}
 		pb.linkOf[e.Index] = id
-		pb.tight[e.Index] = pb.ledger.VolumeAt(e.From, e.To, e.Slot) >= pb.ledger.ChargedVolume(e.From, e.To)
+		pb.tight[e.Index] = e.Slot <= lastSlot &&
+			pb.ledger.VolumeAt(e.From, e.To, e.Slot) >= pb.ledger.ChargedVolume(e.From, e.To)
 		pb.blocked[e.Index] = pb.ledger.Residual(e.From, e.To, e.Slot) <= 0
 	})
 	for k, f := range pb.files {
@@ -319,7 +321,7 @@ func (pb *pathBuilder) Universe() int { return pb.varUniverse }
 
 // pricingWorkers resolves the worker-pool width for one pricing round.
 func (pb *pathBuilder) pricingWorkers() int {
-	w := pb.conf.PricingWorkers
+	w := pb.conf.pricingWorkers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
@@ -670,37 +672,23 @@ func (pb *pathBuilder) solve(opts *lp.Options) (res *Result, sol *lp.Solution, f
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("core: solving Postcard path master: %w", err)
 	}
-	res = &Result{
-		Status:         sol.Status,
-		Variables:      pb.model.NumVariables(),
-		Constraints:    pb.model.NumConstraints(),
-		WarmStarted:    sol.WarmStarted,
-		BackendWorkers: 1,
-		Counters: Counters{
-			Work:        sol.Work,
-			VarUniverse: pb.varUniverse,
-			PrunedVars:  pb.prunedVars,
-		},
+	// A non-optimal outcome is structurally unreachable (the master is
+	// feasible by construction), but like positive artificials it is a
+	// restricted verdict the arc model must confirm.
+	fallback = sol.Status != lp.Optimal || pb.artificialResidue(sol)
+	var p planner
+	if !fallback {
+		p = pb
 	}
-	if sol.Status != lp.Optimal {
-		// Structurally unreachable (the master is feasible by construction),
-		// but any non-optimal outcome is a restricted verdict the arc model
-		// must confirm.
-		return res, sol, true, nil
+	res, err = pb.result(sol, pb.model, Counters{
+		Work:        sol.Work,
+		VarUniverse: pb.varUniverse,
+		PrunedVars:  pb.prunedVars,
+	}, p)
+	if err != nil {
+		return nil, nil, false, err
 	}
-	if pb.artificialResidue(sol) {
-		return res, sol, true, nil
-	}
-	res.Schedule = pb.extractSchedule(sol)
-	res.CostPerSlot = pb.chargedCost(sol)
-	vc := schedule.VerifyConfig{
-		Residual: func(i, j netmodel.DC, slot int) float64 { return pb.ledger.Residual(i, j, slot) },
-		Tol:      1e-4, // GB; matches LP tolerance noise on multi-GB files
-	}
-	if err := schedule.Verify(res.Schedule, pb.tg.Network(), pb.files, vc); err != nil {
-		return nil, nil, false, fmt.Errorf("core: path optimizer produced an invalid schedule: %w", err)
-	}
-	return res, sol, false, nil
+	return res, sol, fallback, nil
 }
 
 // crashNewFiles upgrades a mapped basis for files the previous model did

@@ -9,8 +9,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -63,10 +65,11 @@ type Config struct {
 	// PricingMode. DisableColGen has no effect under PricingPath, whose
 	// column universe is implicit.
 	Pricing PricingMode
-	// PricingWorkers caps the goroutines pricing per-file path subproblems
-	// concurrently under PricingPath; <= 0 selects GOMAXPROCS. Results are
-	// bit-identical for every worker count.
-	PricingWorkers int
+	// pricingWorkers caps the goroutines pricing per-file path subproblems
+	// concurrently under PricingPath; <= 0 selects GOMAXPROCS, capped by the
+	// file count. Results are bit-identical for every worker count, which
+	// only this package's tests vary.
+	pricingWorkers int
 }
 
 // orZero returns a copy of *c, or the zero Config when c is nil.
@@ -243,48 +246,73 @@ func solveArcFallback(tg *timegraph.Graph, ledger *netmodel.Ledger, files []netm
 	return res, nil
 }
 
-// solve runs the assembled LP with the given solver options and converts
-// the outcome into a Result. A builder with delayed columns solves by
-// column generation; one fully materialized (DisableColGen, or a universe
-// the restriction covers) solves directly. The raw lp.Solution is returned
-// alongside so the incremental Solver can harvest its basis snapshot.
+// solve runs the assembled LP by column generation with the given solver
+// options and converts the outcome into a Result. With no delayed columns
+// (DisableColGen, or a universe the restriction covers) SolvePriced solves
+// the model directly. The raw lp.Solution is returned alongside so the
+// incremental Solver can harvest its basis snapshot.
 func (b *builder) solve(opts *lp.Options) (*Result, *lp.Solution, error) {
-	var sol *lp.Solution
-	var err error
-	if len(b.delayed) > 0 {
-		sol, err = lp.SolveColGen(b.model, b, opts)
-	} else {
-		sol, err = b.model.Solve(opts)
-	}
+	sol, err := lp.SolvePriced(b.model, b, opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: solving Postcard LP: %w", err)
 	}
-	res := &Result{
-		Status:         sol.Status,
-		Variables:      b.model.NumVariables(),
-		Constraints:    b.model.NumConstraints(),
-		WarmStarted:    sol.WarmStarted,
-		BackendWorkers: 1,
-		Counters: Counters{
-			Work:        sol.Work,
-			VarUniverse: b.varUniverse,
-			PrunedVars:  b.prunedVars,
-			PrunedRows:  b.prunedRows,
-		},
-	}
-	if sol.Status != lp.Optimal {
-		return res, sol, nil
-	}
-	res.Schedule = b.extractSchedule(sol)
-	res.CostPerSlot = b.chargedCost(sol)
-	vc := schedule.VerifyConfig{
-		Residual: func(i, j netmodel.DC, slot int) float64 { return b.ledger.Residual(i, j, slot) },
-		Tol:      1e-4, // GB; matches LP tolerance noise on multi-GB files
-	}
-	if err := schedule.Verify(res.Schedule, b.tg.Network(), b.files, vc); err != nil {
-		return nil, nil, fmt.Errorf("core: optimizer produced an invalid schedule: %w", err)
+	res, err := b.result(sol, b.model, Counters{
+		Work:        sol.Work,
+		VarUniverse: b.varUniverse,
+		PrunedVars:  b.prunedVars,
+		PrunedRows:  b.prunedRows,
+	}, b)
+	if err != nil {
+		return nil, nil, err
 	}
 	return res, sol, nil
+}
+
+// instance is what one solve plans: the files, the time-expanded graph and
+// ledger they are planned against, their reachability tables and the
+// configuration. Both formulations' builders embed it.
+type instance struct {
+	tg     *timegraph.Graph
+	ledger *netmodel.Ledger
+	files  []netmodel.File
+	reach  []timegraph.Reachability
+	conf   Config
+}
+
+// planner extracts a plan and its cost from an optimal solution of one
+// formulation's model.
+type planner interface {
+	extractSchedule(sol *lp.Solution) *schedule.Schedule
+	chargedCost(sol *lp.Solution) float64
+}
+
+// result is the solve epilogue both formulations share. It reports the
+// outcome of sol on model m with the given counters and, when sol is
+// optimal and p is non-nil, the plan p extracts and its cost. Every plan is
+// verified against the files and the ledger's residual capacities before
+// it is returned, so an optimizer bug surfaces as an error, never as a plan.
+func (in *instance) result(sol *lp.Solution, m *lp.Model, c Counters, p planner) (*Result, error) {
+	res := &Result{
+		Status:         sol.Status,
+		Variables:      m.NumVariables(),
+		Constraints:    m.NumConstraints(),
+		WarmStarted:    sol.WarmStarted,
+		BackendWorkers: 1,
+		Counters:       c,
+	}
+	if sol.Status != lp.Optimal || p == nil {
+		return res, nil
+	}
+	res.Schedule = p.extractSchedule(sol)
+	res.CostPerSlot = p.chargedCost(sol)
+	vc := schedule.VerifyConfig{
+		Residual: func(i, j netmodel.DC, slot int) float64 { return in.ledger.Residual(i, j, slot) },
+		Tol:      1e-4, // GB; matches LP tolerance noise on multi-GB files
+	}
+	if err := schedule.Verify(res.Schedule, in.tg.Network(), in.files, vc); err != nil {
+		return nil, fmt.Errorf("core: optimizer produced an invalid schedule: %w", err)
+	}
+	return res, nil
 }
 
 // modelKey identifies one LP column or row of a Postcard model
@@ -326,13 +354,10 @@ type delayedCol struct {
 	edge int32 // edge index in the time-expanded graph
 }
 
-// builder assembles the Postcard LP.
+// builder assembles the Postcard LP. It implements lp.PricingOracle over
+// the delayed transfer columns.
 type builder struct {
-	tg     *timegraph.Graph
-	ledger *netmodel.Ledger
-	files  []netmodel.File
-	reach  []timegraph.Reachability
-	conf   Config
+	instance
 
 	model *lp.Model
 	// mvars[k] maps edge index -> variable; -1 when the file cannot use the
@@ -367,10 +392,12 @@ type builder struct {
 	crashPath [][]netmodel.DC
 	crashEdge []bool
 	// rowIdx/rowVal are the constraint-assembly scratch; colCons is the
-	// four-row support scratch of Materialize.
+	// four-row support scratch of materialize, and cands a pricing round's
+	// attractive delayed columns.
 	rowIdx  []lp.VarID
 	rowVal  []float64
 	colCons [4]lp.ConID
+	cands   []pricedCol
 
 	varUniverse int
 	prunedVars  int
@@ -396,11 +423,7 @@ func newBuilder(recycle *builder, tg *timegraph.Graph, ledger *netmodel.Ledger, 
 		b.rowKeys = b.rowKeys[:0]
 		b.delayed = b.delayed[:0]
 	}
-	b.tg = tg
-	b.ledger = ledger
-	b.files = files
-	b.reach = reach
-	b.conf = conf
+	b.instance = instance{tg: tg, ledger: ledger, files: files, reach: reach, conf: conf}
 	b.varUniverse, b.prunedVars, b.prunedRows = 0, 0, 0
 	return b
 }
@@ -682,16 +705,79 @@ func (b *builder) addConservation() error {
 	return nil
 }
 
-// Len implements lp.ColumnSource over the delayed transfer columns.
-func (b *builder) Len() int { return len(b.delayed) }
+// colGenBatch bounds how many attractive delayed columns one pricing round
+// materializes. Batching keeps the restricted master small when the first
+// duals make large swaths of the universe look attractive; the most
+// negative reduced costs enter first.
+const colGenBatch = 512
 
-// Price implements lp.ColumnSource: the reduced cost of delayed column c
-// under row duals y. A transfer column M^k_ijn carries objective Epsilon and
-// exactly four row coefficients — +1 in the edge's capacity and charge rows,
-// +1 in the tail conservation row (i, n) and -1 in the head row (j, n+1) —
-// all of which exist by construction (rows are emitted on universe support).
-func (b *builder) Price(c int, y []float64) float64 {
-	d := b.delayed[c]
+// pricedCol is one pricing round's candidate: an index into builder.delayed
+// and its reduced cost under the round's duals.
+type pricedCol struct {
+	c  int
+	rc float64
+}
+
+// Universe implements lp.PricingOracle: the number of delayed transfer
+// columns. Zero means the restricted master is the full model.
+func (b *builder) Universe() int { return len(b.delayed) }
+
+// PriceBatch implements lp.PricingOracle over the delayed transfer columns.
+// Every pending column whose reduced cost under y is below -tol enters; past
+// colGenBatch candidates only the most negative do, ties broken on the lower
+// candidate index so the cut is deterministic. Whatever the cut keeps is
+// materialized in ascending candidate order, which is ascending (file,
+// edge) order. No rows are added: every delayed column's four rows exist
+// from the start.
+func (b *builder) PriceBatch(m *lp.Model, y []float64, tol float64) (int, int, error) {
+	b.cands = b.cands[:0]
+	for c, d := range b.delayed {
+		if b.mvars[d.file][d.edge] != varDelayed {
+			continue
+		}
+		if rc := b.reducedCost(d, y); rc < -tol {
+			b.cands = append(b.cands, pricedCol{c: c, rc: rc})
+		}
+	}
+	if len(b.cands) > colGenBatch {
+		slices.SortFunc(b.cands, func(p, q pricedCol) int {
+			return cmp.Or(cmp.Compare(p.rc, q.rc), cmp.Compare(p.c, q.c))
+		})
+		b.cands = b.cands[:colGenBatch]
+		slices.SortFunc(b.cands, func(p, q pricedCol) int { return cmp.Compare(p.c, q.c) })
+	}
+	for _, p := range b.cands {
+		if err := b.materialize(m, b.delayed[p.c]); err != nil {
+			return 0, 0, err
+		}
+	}
+	return len(b.cands), 0, nil
+}
+
+// MaterializeRest implements lp.PricingOracle: it materializes every pending
+// delayed column in ascending (file, edge) order, so the re-solve after an
+// infeasible restriction is a full-model verdict.
+func (b *builder) MaterializeRest(m *lp.Model) (int, int, bool, error) {
+	cols := 0
+	for _, d := range b.delayed {
+		if b.mvars[d.file][d.edge] != varDelayed {
+			continue
+		}
+		if err := b.materialize(m, d); err != nil {
+			return 0, 0, false, err
+		}
+		cols++
+	}
+	return cols, 0, true, nil
+}
+
+// reducedCost is the reduced cost of delayed column d under row duals y
+// (minimization sign convention). A transfer column M^k_ijn carries
+// objective Epsilon and exactly four row coefficients — +1 in the edge's
+// capacity and charge rows, +1 in the tail conservation row (i, n) and -1
+// in the head row (j, n+1) — all of which exist by construction (rows are
+// emitted on universe support).
+func (b *builder) reducedCost(d delayedCol, y []float64) float64 {
 	e := b.tg.Edge(int(d.edge))
 	out, in := b.consRows(d)
 	return netmodel.Epsilon -
@@ -710,10 +796,9 @@ func (b *builder) consRows(d delayedCol) (out, in lp.ConID) {
 	return out, in
 }
 
-// Materialize implements lp.ColumnSource, grafting delayed column c onto the
-// restricted master with its full coefficient support.
-func (b *builder) Materialize(m *lp.Model, c int) (lp.VarID, error) {
-	d := b.delayed[c]
+// materialize grafts delayed column d onto the restricted master with its
+// full coefficient support.
+func (b *builder) materialize(m *lp.Model, d delayedCol) error {
 	k := int(d.file)
 	f := b.files[k]
 	e := b.tg.Edge(int(d.edge))
@@ -722,11 +807,11 @@ func (b *builder) Materialize(m *lp.Model, c int) (lp.VarID, error) {
 		b.capRow[e.Index], b.chargeRow[e.Index], out, in
 	v, err := m.AddColumn(0, f.Size, netmodel.Epsilon, "", b.colCons[:], colCoef[:])
 	if err != nil {
-		return -1, err
+		return err
 	}
 	b.mvars[k][e.Index] = v
 	b.colKeys = append(b.colKeys, modelKey{kind: kindM, file: f.ID, from: e.From, to: e.To, slot: e.Slot})
-	return v, nil
+	return nil
 }
 
 // colCoef is the coefficient pattern every transfer column shares, parallel

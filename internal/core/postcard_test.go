@@ -4,11 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/schedule"
+	"github.com/interdc/postcard/internal/timegraph"
 )
 
 func newLedger(t *testing.T, nw *netmodel.Network) *netmodel.Ledger {
@@ -342,5 +344,95 @@ func TestOnlineMonotoneCost(t *testing.T) {
 			t.Fatalf("slot %d: ledger cost %v != LP cost %v", slot, got, res.CostPerSlot)
 		}
 		prev = got
+	}
+}
+
+// TestArcPricingBatchCap pins the arc oracle's batch policy on a round
+// where far more than colGenBatch delayed columns price attractive, in
+// three reduced-cost tiers so the cut falls inside a tier: exactly
+// colGenBatch columns enter, they are the most negative with ties broken
+// on the lower candidate index, and they are materialized in ascending
+// (file, edge) order. MaterializeRest then adds every column left.
+func TestArcPricingBatchCap(t *testing.T) {
+	nw := chainNetwork(t, 8, 50)
+	ledger := newLedger(t, nw)
+	var files []netmodel.File
+	for k := 0; k < 4; k++ {
+		files = append(files, netmodel.File{ID: 10 + k, Src: netmodel.DC(k), Dst: netmodel.DC(7 - k), Size: 5, Deadline: 6})
+	}
+	tg, err := timegraph.Build(nw, 0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := prepare(tg, ledger, files, Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Capacity duals in three tiers by edge index; every other dual is zero,
+	// so a delayed column's reduced cost is Epsilon minus its edge's tier.
+	y := make([]float64, b.model.NumConstraints())
+	tier := func(edge int32) float64 { return float64(1 + (edge*7)%3) }
+	for e, row := range b.capRow {
+		if row >= 0 {
+			y[row] = tier(int32(e))
+		}
+	}
+	type cand struct {
+		c  int
+		rc float64
+	}
+	var want []cand
+	for c, d := range b.delayed {
+		want = append(want, cand{c, netmodel.Epsilon - tier(d.edge)})
+	}
+	if len(want) <= colGenBatch {
+		t.Fatalf("only %d delayed columns; the cap never binds", len(want))
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].rc != want[j].rc {
+			return want[i].rc < want[j].rc
+		}
+		return want[i].c < want[j].c
+	})
+	if want[colGenBatch-1].rc != want[colGenBatch].rc {
+		t.Fatal("the cut does not split a tier; the tie-break goes untested")
+	}
+	want = want[:colGenBatch]
+	sort.Slice(want, func(i, j int) bool { return want[i].c < want[j].c })
+
+	vars, keys := b.model.NumVariables(), len(b.colKeys)
+	cols, rows, err := b.PriceBatch(b.model, y, 1e-7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cols != colGenBatch || rows != 0 {
+		t.Fatalf("PriceBatch added %d columns and %d rows, want %d and 0", cols, rows, colGenBatch)
+	}
+	if got := b.model.NumVariables() - vars; got != colGenBatch {
+		t.Fatalf("model grew by %d columns, want %d", got, colGenBatch)
+	}
+	for i, w := range want {
+		d := b.delayed[w.c]
+		f, e := files[d.file], tg.Edge(int(d.edge))
+		if v := b.mvars[d.file][d.edge]; v != lp.VarID(vars+i) {
+			t.Fatalf("candidate %d (rc %v) is column %d, want %d", w.c, w.rc, v, vars+i)
+		}
+		key := modelKey{kind: kindM, file: f.ID, from: e.From, to: e.To, slot: e.Slot}
+		if b.colKeys[keys+i] != key {
+			t.Fatalf("column key %d is %+v, want %+v", keys+i, b.colKeys[keys+i], key)
+		}
+	}
+
+	cols, rows, ok, err := b.MaterializeRest(b.model)
+	if err != nil || !ok || rows != 0 {
+		t.Fatalf("MaterializeRest: cols %d rows %d ok %v err %v", cols, rows, ok, err)
+	}
+	if cols != len(b.delayed)-colGenBatch {
+		t.Fatalf("MaterializeRest added %d columns, want %d", cols, len(b.delayed)-colGenBatch)
+	}
+	for _, d := range b.delayed {
+		if b.mvars[d.file][d.edge] < 0 {
+			t.Fatal("a delayed column is still pending after MaterializeRest")
+		}
 	}
 }

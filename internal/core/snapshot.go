@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"github.com/interdc/postcard/internal/lp"
@@ -19,15 +20,15 @@ type SnapshotKey struct {
 }
 
 // SolverSnapshot is the serializable cross-slot state of a Solver: the
-// last solve's basis with the structural keys of its columns and rows and
-// the IDs of its files, the state its slot opened with when that differs,
-// plus the cumulative work counters. Restoring it into a fresh
-// Solver bound to an equivalent network makes the next Solve map the basis
-// exactly as an uninterrupted solver would, so a process restart resumes
-// the remaining horizon with bit-identical plans (the recycled
-// time-expanded graph and builder are rebuilt on demand and never affect
-// results — only the GraphReuses counter can differ). Under PricingPath it
-// does not carry the retained paths, so a restored solver recycles none.
+// last solve's basis with the structural keys of its columns and rows, its
+// retained paths and the IDs of its files, the state its slot opened with
+// when that differs, plus the cumulative work counters. Restoring it into a
+// fresh Solver bound to an equivalent network makes the next Solve map the
+// basis and seed the path master exactly as an uninterrupted solver would,
+// so a process restart resumes the remaining horizon with bit-identical
+// plans under either pricing mode (the recycled time-expanded graph and
+// builder are rebuilt on demand and never affect results — only the
+// GraphReuses counter can differ).
 type SolverSnapshot struct {
 	// Valid reports whether the snapshot carries warm-start state; a
 	// solver that has not solved anything yet snapshots Valid == false
@@ -44,11 +45,23 @@ type SolverSnapshot struct {
 }
 
 // BasisSnapshot is one cached basis with the structural keys of its columns
-// and rows.
+// and rows, and the path master's retained paths (absent under PricingArc,
+// and in snapshots written before they were recorded).
 type BasisSnapshot struct {
-	Basis *lp.Basis     `json:"basis,omitempty"`
-	Cols  []SnapshotKey `json:"cols,omitempty"`
-	Rows  []SnapshotKey `json:"rows,omitempty"`
+	Basis *lp.Basis       `json:"basis,omitempty"`
+	Cols  []SnapshotKey   `json:"cols,omitempty"`
+	Rows  []SnapshotKey   `json:"rows,omitempty"`
+	Paths []PathsSnapshot `json:"paths,omitempty"`
+}
+
+// PathsSnapshot is the serializable form of the node sequences a solver
+// retains for one (source, destination) pair, in retention order.
+// Snapshots list pairs in ascending (Src, Dst) order, so the JSON is
+// deterministic.
+type PathsSnapshot struct {
+	Src   netmodel.DC     `json:"src"`
+	Dst   netmodel.DC     `json:"dst"`
+	Nodes [][]netmodel.DC `json:"nodes"`
 }
 
 // Snapshot captures the solver's warm-start state and counters. The
@@ -102,7 +115,8 @@ func (st *solveState) snapshot() BasisSnapshot {
 	if st.basis == nil {
 		return BasisSnapshot{}
 	}
-	return BasisSnapshot{Basis: st.basis.Clone(), Cols: keysToSnapshot(st.cols), Rows: keysToSnapshot(st.rows)}
+	return BasisSnapshot{Basis: st.basis.Clone(), Cols: keysToSnapshot(st.cols), Rows: keysToSnapshot(st.rows),
+		Paths: pathsToSnapshot(st.paths)}
 }
 
 // fits reports whether the basis is present and its shape matches its keys.
@@ -116,7 +130,38 @@ func (b *BasisSnapshot) state() solveState {
 	if b.Basis == nil {
 		return solveState{}
 	}
-	return solveState{basis: b.Basis.Clone(), cols: snapshotToKeys(b.Cols), rows: snapshotToKeys(b.Rows)}
+	return solveState{basis: b.Basis.Clone(), cols: snapshotToKeys(b.Cols), rows: snapshotToKeys(b.Rows),
+		paths: snapshotToPaths(b.Paths)}
+}
+
+func pathsToSnapshot(paths map[netmodel.Link][][]netmodel.DC) []PathsSnapshot {
+	var out []PathsSnapshot
+	for l, seqs := range paths {
+		out = append(out, PathsSnapshot{Src: l.From, Dst: l.To, Nodes: cloneSeqs(seqs)})
+	}
+	slices.SortFunc(out, func(a, b PathsSnapshot) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	return out
+}
+
+func snapshotToPaths(snap []PathsSnapshot) map[netmodel.Link][][]netmodel.DC {
+	if len(snap) == 0 {
+		return nil
+	}
+	out := make(map[netmodel.Link][][]netmodel.DC, len(snap))
+	for _, ps := range snap {
+		out[netmodel.Link{From: ps.Src, To: ps.Dst}] = cloneSeqs(ps.Nodes)
+	}
+	return out
+}
+
+func cloneSeqs(seqs [][]netmodel.DC) [][]netmodel.DC {
+	out := make([][]netmodel.DC, len(seqs))
+	for i, seq := range seqs {
+		out[i] = slices.Clone(seq)
+	}
+	return out
 }
 
 func keysToSnapshot(keys []modelKey) []SnapshotKey {

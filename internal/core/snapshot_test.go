@@ -15,15 +15,46 @@ import (
 // ledger restored from its own snapshot. Every remaining slot must produce
 // bit-identical costs and schedules, and B's first solve must warm-start —
 // the restored basis, not a cold crash basis, drives the resumed plans.
+//
+// Under path pricing it runs over many chains: the restored solver must
+// seed the path master with the retained paths the uninterrupted one
+// seeds, and neither may price differently because its recycled
+// time-expanded graph has surplus layers the other's lacks.
 func TestSolverSnapshotResumesBitIdentical(t *testing.T) {
-	nw := chainNetwork(t, 5, 60)
+	t.Run("arc", func(t *testing.T) {
+		resumeBitIdentical(t, nil, chainNetwork(t, 5, 60), 7)
+	})
+	t.Run("path", func(t *testing.T) {
+		seeds := int64(400)
+		if testing.Short() {
+			seeds = 100
+		}
+		cfg := &Config{Pricing: PricingPath}
+		for _, c := range []struct {
+			dcs      int
+			capacity float64
+		}{{8, 30}, {6, 40}} {
+			nw := chainNetwork(t, c.dcs, c.capacity)
+			for seed := int64(1); seed <= seeds; seed++ {
+				if resumeBitIdentical(t, cfg, nw, seed); t.Failed() {
+					t.Fatalf("%d DCs, capacity %v, seed %d: restored solver diverged", c.dcs, c.capacity, seed)
+				}
+			}
+		}
+	})
+}
+
+// resumeBitIdentical runs one restart check with solvers configured by cfg
+// over a chain of random slots drawn from seed.
+func resumeBitIdentical(t *testing.T, cfg *Config, nw *netmodel.Network, seed int64) {
+	t.Helper()
 	ledgerA, err := netmodel.NewLedger(nw, netmodel.MaxCharging(64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	solverA := NewSolver(nil)
+	solverA := NewSolver(cfg)
 	const cut, slots = 4, 9
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewSource(seed))
 	var chain [][]netmodel.File
 	nextID := 0
 	for slot := 0; slot < slots; slot++ {
@@ -62,7 +93,7 @@ func TestSolverSnapshotResumesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solverB := NewSolver(nil)
+	solverB := NewSolver(cfg)
 	solverB.Restore(nw, &solverSnap)
 	if got, want := solverB.Stats(), solverA.Stats(); got != want {
 		t.Fatalf("restored stats %+v, want %+v", got, want)
@@ -78,7 +109,7 @@ func TestSolverSnapshotResumesBitIdentical(t *testing.T) {
 			t.Fatalf("slot %d: B: %v", slot, err)
 		}
 		if slot == cut && !resB.WarmStarted {
-			t.Error("restored solver's first solve did not warm-start")
+			t.Errorf("restored solver's first solve did not warm-start")
 		}
 		if resA.CostPerSlot != resB.CostPerSlot {
 			t.Errorf("slot %d: cost A %v != B %v", slot, resA.CostPerSlot, resB.CostPerSlot)

@@ -66,13 +66,6 @@ func (g *Graph) EdgeFlow(id int) float64 { return g.edges[2*id].Flow }
 // EdgeInfo returns a copy of forward edge id.
 func (g *Graph) EdgeInfo(id int) Edge { return g.edges[2*id] }
 
-// ResetFlow clears all flow assignments.
-func (g *Graph) ResetFlow() {
-	for i := range g.edges {
-		g.edges[i].Flow = 0
-	}
-}
-
 // residual reports the residual capacity of internal edge index e.
 func (g *Graph) residual(e int) float64 {
 	if e%2 == 0 {

@@ -292,12 +292,11 @@ type Work struct {
 	// drift of the incremental per-pivot updates.
 	DualRecomputes int `metric:"dual_recomputes_total,Full dual recomputations."`
 	// ColGenRounds, ColGenColumns, ColGenRows and ColGenUniverse are filled
-	// by SolvePriced (and thus SolveColGen): the number of restricted-master
-	// solves performed, the number of delayed columns materialized into the
-	// model, the number of rows the oracle created lazily alongside them
-	// (zero for fixed-row ColumnSource generation), and the size of the
-	// delayed universe that was priced implicitly. All zero for a plain
-	// Solve.
+	// by SolvePriced: the number of restricted-master solves performed, the
+	// number of delayed columns materialized into the model, the number of
+	// rows the oracle created lazily alongside them (zero for an oracle whose
+	// columns only touch rows the restriction already has), and the size of
+	// the delayed universe that was priced. All zero for a plain Solve.
 	ColGenRounds   int `metric:"colgen_rounds_total,Delayed column generation rounds."`
 	ColGenColumns  int `metric:"colgen_columns_total,Columns materialized by delayed generation."`
 	ColGenRows     int `metric:"colgen_rows_total,Rows lazily appended alongside generated columns."`

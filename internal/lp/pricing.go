@@ -2,18 +2,18 @@ package lp
 
 import "github.com/interdc/postcard/internal/telemetry"
 
-// PricingOracle is the generalized delayed-generation contract behind
-// SolvePriced. Where ColumnSource enumerates a dense candidate universe and
-// materializes one 4-row arc column at a time, a PricingOracle owns the
-// whole pricing round: given the duals of a solved restriction it decides
-// which columns enter, appends any rows those columns need first (lazily
-// created capacity or charging rows a path column crosses), and reports how
-// much the model grew so the driver can extend the warm-start basis. This
-// supports implicit universes — a Dantzig–Wolfe path oracle prices
-// exponentially many source→deadline paths through a shortest-path
-// subproblem without ever enumerating them — and lets the oracle fan the
-// per-commodity subproblems across worker goroutines, as long as the
-// materialization it performs is deterministic for given duals.
+// PricingOracle is the delayed-generation contract behind SolvePriced. The
+// oracle owns the whole pricing round: given the duals of a solved
+// restriction it decides which columns enter, appends any rows those
+// columns need first (lazily created capacity or charging rows a path
+// column crosses), and reports how much the model grew so the driver can
+// extend the warm-start basis. The universe may be explicit — a list of
+// delayed arc columns whose rows all exist, priced one by one — or
+// implicit: a Dantzig–Wolfe path oracle prices exponentially many
+// source→deadline paths through a shortest-path subproblem without ever
+// enumerating them, and may fan the per-commodity subproblems across
+// worker goroutines, as long as the materialization it performs is
+// deterministic for given duals.
 type PricingOracle interface {
 	// Universe reports the size of the delayed universe being priced — the
 	// number of explicit delayed candidates, or the size of the implicit
@@ -56,9 +56,15 @@ type PricingOracle interface {
 // has a zero coefficient in a row created after it, so the row's activity
 // at the current basic point comes only from pre-existing columns the
 // oracle verified slack — the extended snapshot stays primal feasible and
-// the re-solve resumes from dual pricing instead of phase 1.
+// the re-solve resumes from dual pricing instead of phase 1. At that point
+// the restricted optimum is the full model's: the duals certify dual
+// feasibility of every column, materialized or not. An oracle whose
+// Universe is zero is never consulted; m is solved as it stands.
 //
-// Unbounded and iteration-limited outcomes return as-is (a ray of the
+// An infeasible restriction hands the oracle MaterializeRest and re-solves
+// warm from the phase-1 basis, so an oracle that can exhaust its universe
+// gives full-model infeasibility verdicts. Unbounded and iteration-limited
+// outcomes return as-is (a ray of the
 // restriction is a ray of the full model). The returned Solution aggregates
 // work counters across all rounds and describes the generation itself in
 // ColGenRounds, ColGenColumns, ColGenRows and ColGenUniverse.

@@ -129,9 +129,6 @@ scan:
 // NNZ reports the number of stored entries.
 func (m *Matrix) NNZ() int { return len(m.RowIdx) }
 
-// ColumnNNZ reports the number of stored entries in column j.
-func (m *Matrix) ColumnNNZ(j int) int { return m.ColPtr[j+1] - m.ColPtr[j] }
-
 // Column invokes fn for every stored entry (row, value) of column j.
 func (m *Matrix) Column(j int, fn func(row int, val float64)) {
 	for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
@@ -239,9 +236,6 @@ func (m *Matrix) ToCSR(c *CSR) *CSR {
 func (c *CSR) RowSlices(i int) ([]int, []float64) {
 	return c.ColIdx[c.RowPtr[i]:c.RowPtr[i+1]], c.Val[c.RowPtr[i]:c.RowPtr[i+1]]
 }
-
-// RowNNZ reports the number of stored entries in row i.
-func (c *CSR) RowNNZ(i int) int { return c.RowPtr[i+1] - c.RowPtr[i] }
 
 // Dense expands the matrix to a dense row-major [][]float64. For tests.
 func (m *Matrix) Dense() [][]float64 {

@@ -175,7 +175,7 @@ func TestEffectiveWorkersBounds(t *testing.T) {
 func TestSchedulerClonesAreIndependent(t *testing.T) {
 	pc := &Postcard{
 		Label:  "pc",
-		Config: &core.Config{Storage: core.StorageNone, PricingWorkers: 3},
+		Config: &core.Config{Storage: core.StorageNone},
 	}
 	cl := pc.CloneScheduler().(*Postcard)
 	if cl.Name() != "pc" {

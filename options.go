@@ -67,13 +67,6 @@ func WithPricing(mode PricingMode) Option {
 	return func(c *Client) { c.conf.Pricing = mode }
 }
 
-// WithPricingWorkers bounds the goroutine pool the path-pricing oracle fans
-// per-file subproblems across. Zero uses GOMAXPROCS. Results are
-// bit-identical for every worker count.
-func WithPricingWorkers(n int) Option {
-	return func(c *Client) { c.conf.PricingWorkers = n }
-}
-
 // WithWarmStart makes the client keep incremental solver state between
 // Solve calls: consecutive slots reuse the time-expanded graph skeleton and
 // warm-start the LP from the previous basis.
