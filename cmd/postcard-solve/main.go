@@ -217,11 +217,8 @@ func solve(name string, ledger *postcard.Ledger, files []postcard.File, slot int
 		if err != nil {
 			return nil, 0, 0, nil, err
 		}
-		trial := ledger.Clone()
-		if err := plan.Apply(trial); err != nil {
-			return nil, 0, 0, nil, err
-		}
-		return plan, trial.CostPerSlot(), postcard.StatusOptimal, nil, nil
+		cost, err := plan.Cost(ledger)
+		return plan, cost, postcard.StatusOptimal, nil, err
 	}
 	// Everything else — the flow baselines, direct, postcard-nostore, and
 	// any future registry entry — resolves through the scheduler registry
@@ -238,9 +235,6 @@ func solve(name string, ledger *postcard.Ledger, files []postcard.File, slot int
 	if err != nil {
 		return nil, 0, 0, nil, err
 	}
-	trial := ledger.Clone()
-	if err := plan.Apply(trial); err != nil {
-		return nil, 0, 0, nil, err
-	}
-	return plan, trial.CostPerSlot(), postcard.StatusOptimal, nil, nil
+	cost, err := plan.Cost(ledger)
+	return plan, cost, postcard.StatusOptimal, nil, err
 }

@@ -9,32 +9,18 @@ import (
 	"github.com/interdc/postcard/internal/schedule"
 )
 
-// DefaultMaxExpansions bounds the best-first path search per admission.
-// The frontier holds simple-path prefixes, so on the evaluation networks
-// (complete graphs of 8-20 datacenters, deadlines of a few slots) the
-// search drains far below this bound and every rejection is exhaustive.
-const DefaultMaxExpansions = 4096
+// maxExpansions bounds the partial paths the best-first search may pop per
+// admission before giving up (a non-exhaustive rejection). The frontier
+// holds simple-path prefixes, so on the evaluation networks (complete graphs
+// of 8-20 datacenters, deadlines of a few slots) the search drains far below
+// this bound and every rejection is exhaustive.
+const maxExpansions = 4096
 
 // Config tunes the admission tier.
 type Config struct {
-	// MaxExpansions bounds the partial paths the per-file search may pop
-	// before giving up (a non-exhaustive rejection). 0 selects
-	// DefaultMaxExpansions.
-	MaxExpansions int
 	// Solver configures the background re-optimizer's core.Solver; nil
 	// selects the optimizer defaults.
 	Solver *core.Config
-}
-
-func (c *Config) withDefaults() Config {
-	out := Config{}
-	if c != nil {
-		out = *c
-	}
-	if out.MaxExpansions <= 0 {
-		out.MaxExpansions = DefaultMaxExpansions
-	}
-	return out
 }
 
 // Stats counts the admission tier's cumulative work. It is declared in core
@@ -92,12 +78,15 @@ func NewController(ledger *netmodel.Ledger, cfg *Config) (*Controller, error) {
 	if ledger == nil {
 		return nil, fmt.Errorf("admission: nil ledger")
 	}
-	return &Controller{
-		cfg:  cfg.withDefaults(),
+	c := &Controller{
 		res:  netmodel.NewReservations(ledger),
 		q100: ledger.Scheme().Q >= 100,
 		slot: -1,
-	}, nil
+	}
+	if cfg != nil {
+		c.cfg = *cfg
+	}
+	return c, nil
 }
 
 // Reservations exposes the live reservation view (for inspection; callers
@@ -141,11 +130,8 @@ func (c *Controller) BatchCost() float64 { return c.batchCost }
 // Batches are per slot: the previous slot's batch must have been taken
 // (TakePlan) or rolled back before admitting into a new slot.
 func (c *Controller) Admit(f netmodel.File, now int) (Decision, error) {
-	if err := f.Validate(c.res.Ledger().Network()); err != nil {
+	if _, err := netmodel.CheckBatch(c.res.Ledger().Network(), []netmodel.File{f}, now); err != nil {
 		return Decision{}, err
-	}
-	if f.Release < now {
-		return Decision{}, fmt.Errorf("admission: file %d released at %d, admitted at %d", f.ID, f.Release, now)
 	}
 	if c.slot != now {
 		if len(c.files) > 0 {
@@ -153,7 +139,7 @@ func (c *Controller) Admit(f netmodel.File, now int) (Decision, error) {
 		}
 		c.slot = now
 	}
-	plan, expansions, exhaustive := planFile(c.res, f, c.cfg.MaxExpansions, c.q100)
+	plan, expansions, exhaustive := planFile(c.res, f, c.q100)
 	if plan == nil {
 		c.stats.Rejects++
 		return Decision{Expansions: expansions, Exhaustive: exhaustive}, nil

@@ -38,7 +38,7 @@ type Plan struct {
 	// Expansions counts partial paths the best-first search popped.
 	Expansions int
 	// Exhaustive reports whether the search covered the entire simple-path
-	// space up to the hop bound (as opposed to stopping at MaxExpansions).
+	// space up to the hop bound (as opposed to stopping at maxExpansions).
 	Exhaustive bool
 }
 
@@ -134,45 +134,21 @@ func (h *searchHeap) Pop() any {
 	return x
 }
 
-// hopDistTo computes BFS hop distances from every datacenter to dst over
-// the network's directed links (traversed backwards), for pruning prefixes
-// that cannot reach the destination within the hop budget. Unreachable
-// nodes report a distance larger than any hop bound.
-func hopDistTo(nw *netmodel.Network, dst netmodel.DC) []int {
-	n := nw.NumDCs()
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = n + 1
-	}
-	dist[dst] = 0
-	queue := []netmodel.DC{dst}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for u := 0; u < n; u++ {
-			d := netmodel.DC(u)
-			if dist[u] > dist[v]+1 && nw.HasLink(d, v) {
-				dist[u] = dist[v] + 1
-				queue = append(queue, d)
-			}
-		}
-	}
-	return dist
-}
-
 // planFile searches for the cheapest feasible single-path placement of f
 // under the current reservations. It returns (plan, expansions, exhaustive):
 // plan is nil when no candidate path within the search budget can carry the
 // file; exhaustive reports whether the rejection covered the entire
 // simple-path space up to the hop bound.
-func planFile(res *netmodel.Reservations, f netmodel.File, maxExpansions int, q100 bool) (*Plan, int, bool) {
+func planFile(res *netmodel.Reservations, f netmodel.File, q100 bool) (*Plan, int, bool) {
 	nw := res.Ledger().Network()
 	n := nw.NumDCs()
 	maxHops := f.Deadline
 	if n-1 < maxHops {
 		maxHops = n - 1
 	}
-	dist := hopDistTo(nw, f.Dst)
+	// Hop distances to the destination prune prefixes that cannot reach it
+	// within the hop budget.
+	dist, _ := nw.Hops(f.Dst, true)
 	if dist[f.Src] > maxHops {
 		return nil, 0, true
 	}

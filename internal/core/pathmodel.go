@@ -212,31 +212,12 @@ func (pb *pathBuilder) build() error {
 		pb.demandRow[k] = row
 		pb.rowKeys = append(pb.rowKeys, modelKey{kind: kindDemand, file: f.ID, from: -1, to: -1, slot: -1})
 	}
-	// Universe/support pass: the same per-file window, storage-policy and
-	// reachability filters the arc builder applies, so VarUniverse and
-	// PrunedVars report the identical accounting and rows only ever
+	// Universe/support pass over the arc builder's universe, so VarUniverse
+	// and PrunedVars report the identical accounting and rows only ever
 	// materialize where the arc model would have emitted them.
-	for k, f := range pb.files {
-		first, last, ok := pb.tg.FileWindow(f)
-		if !ok {
-			return fmt.Errorf("core: file %d outside graph horizon", f.ID)
-		}
-		r := pb.reach[k]
-		pb.tg.Edges(func(e timegraph.Edge) {
-			if e.Slot < first || e.Slot > last {
-				return
-			}
-			if e.Storage {
-				switch pb.conf.Storage {
-				case StorageEndpointsOnly:
-					if e.From != f.Src && e.From != f.Dst {
-						return
-					}
-				case StorageNone:
-					return
-				}
-			}
-			if !r.Allowed(f, e.From, e.Slot) || !r.Allowed(f, e.To, e.Slot+1) {
+	for k := range pb.files {
+		err := pb.universe(k, func(e timegraph.Edge, allowed bool) {
+			if !allowed {
 				pb.prunedVars++
 				return
 			}
@@ -245,6 +226,9 @@ func (pb *pathBuilder) build() error {
 				pb.support[e.Index] = true
 			}
 		})
+		if err != nil {
+			return err
+		}
 	}
 	// Charge floor rows: a lazily omitted charge row is slack only while
 	// X's lower bound covers the committed volume; under q-percentile
@@ -340,15 +324,10 @@ func (pb *pathBuilder) priceFile(k int, y []float64, finder *timegraph.PathFinde
 	f := pb.files[k]
 	eps := netmodel.Epsilon
 	weight := func(e *timegraph.Edge) float64 {
+		if !pb.conf.Storage.permits(f, e) {
+			return math.Inf(1)
+		}
 		if e.Storage {
-			switch pb.conf.Storage {
-			case StorageEndpointsOnly:
-				if e.From != f.Src && e.From != f.Dst {
-					return math.Inf(1)
-				}
-			case StorageNone:
-				return math.Inf(1)
-			}
 			return 0
 		}
 		return eps + pb.edgeW[e.Index]

@@ -42,6 +42,21 @@ const (
 	StorageNone
 )
 
+// permits reports whether the policy lets file f use edge e. Transfer edges
+// are always permitted; the policy decides only holdovers.
+func (p StoragePolicy) permits(f netmodel.File, e *timegraph.Edge) bool {
+	if !e.Storage {
+		return true
+	}
+	switch p {
+	case StorageEndpointsOnly:
+		return e.From == f.Src || e.From == f.Dst
+	case StorageNone:
+		return false
+	}
+	return true
+}
+
 // Config tunes the optimizer. The zero value selects defaults.
 type Config struct {
 	// Storage selects where holdovers are permitted.
@@ -166,24 +181,6 @@ func Solve(ledger *netmodel.Ledger, files []netmodel.File, t int, cfg *Config) (
 	return NewSolver(cfg).Solve(ledger, files, t)
 }
 
-// requiredHorizon validates every file against the network and the solve
-// slot and returns the number of time-expanded slots the LP must cover.
-func requiredHorizon(nw *netmodel.Network, files []netmodel.File, t int) (int, error) {
-	horizon := 0
-	for _, f := range files {
-		if err := f.Validate(nw); err != nil {
-			return 0, err
-		}
-		if f.Release < t {
-			return 0, fmt.Errorf("core: file %d released at %d before solve slot %d", f.ID, f.Release, t)
-		}
-		if end := f.Release + f.Deadline - t; end > horizon {
-			horizon = end
-		}
-	}
-	return horizon, nil
-}
-
 // prepare runs the structural routability check and assembles the Postcard
 // LP on the given time-expanded graph. The graph's horizon may exceed the
 // files' needs (a Solver reuses one skeleton across slots); surplus layers
@@ -277,6 +274,23 @@ type instance struct {
 	files  []netmodel.File
 	reach  []timegraph.Reachability
 	conf   Config
+}
+
+// universe walks file k's arc universe — the single definition every
+// consumer of the (file, edge) pairs shares: each edge of the file's window
+// (constraint (10)) the storage policy permits, in index order, with
+// allowed reporting whether reachability keeps it (false: pruned at one of
+// its endpoints).
+func (in *instance) universe(k int, fn func(e timegraph.Edge, allowed bool)) error {
+	f, r := in.files[k], in.reach[k]
+	if !in.tg.WindowEdges(f, func(e timegraph.Edge) {
+		if in.conf.Storage.permits(f, &e) {
+			fn(e, r.EdgeAllowed(f, e))
+		}
+	}) {
+		return fmt.Errorf("core: file %d outside graph horizon", f.ID)
+	}
+	return nil
 }
 
 // planner extracts a plan and its cost from an optimal solution of one
@@ -474,33 +488,14 @@ func (b *builder) build() error {
 		b.crashPath = b.crashPath[:len(b.files)]
 	}
 	b.crashEdge = intSlice(b.crashEdge, b.tg.NumEdges())
-	for k, f := range b.files {
+	for k := range b.files {
 		b.mvars[k] = intSlice(b.mvars[k], b.tg.NumEdges())
 		for i := range b.mvars[k] {
 			b.mvars[k][i] = -1
 		}
-		first, last, ok := b.tg.FileWindow(f)
-		if !ok {
-			return fmt.Errorf("core: file %d outside graph horizon", f.ID)
-		}
 		b.markCrashRoute(k)
-		r := b.reach[k]
-		errOut := error(nil)
-		b.tg.Edges(func(e timegraph.Edge) {
-			if errOut != nil || e.Slot < first || e.Slot > last {
-				return
-			}
-			if e.Storage {
-				switch b.conf.Storage {
-				case StorageEndpointsOnly:
-					if e.From != f.Src && e.From != f.Dst {
-						return
-					}
-				case StorageNone:
-					return
-				}
-			}
-			if !r.Allowed(f, e.From, e.Slot) || !r.Allowed(f, e.To, e.Slot+1) {
+		err := b.universe(k, func(e timegraph.Edge, allowed bool) {
+			if !allowed {
 				b.prunedVars++
 				return
 			}
@@ -512,8 +507,8 @@ func (b *builder) build() error {
 			b.mvars[k][e.Index] = varDelayed
 			b.delayed = append(b.delayed, delayedCol{file: int32(k), edge: int32(e.Index)})
 		})
-		if errOut != nil {
-			return errOut
+		if err != nil {
+			return err
 		}
 	}
 	if err := b.addCapacityAndCharge(); err != nil {

@@ -185,7 +185,7 @@ func (s *Solver) Solve(ledger *netmodel.Ledger, files []netmodel.File, t int) (*
 			Status:      lp.Optimal,
 		}, nil
 	}
-	horizon, err := requiredHorizon(nw, files, t)
+	horizon, err := netmodel.CheckBatch(nw, files, t)
 	if err != nil {
 		return nil, err
 	}
@@ -365,22 +365,7 @@ func seedRetainedPaths(pb *pathBuilder, retain map[netmodel.Link][][]netmodel.DC
 				from, to := nodes[i], nodes[i+1]
 				slot := f.Release + i
 				e, found := pb.tg.EdgeAt(from, to, slot)
-				if !found {
-					usable = false
-					break
-				}
-				if e.Storage {
-					switch pb.conf.Storage {
-					case StorageEndpointsOnly:
-						usable = from == f.Src || from == f.Dst
-					case StorageNone:
-						usable = false
-					}
-					if !usable {
-						break
-					}
-				}
-				if !r.Allowed(f, from, slot) || !r.Allowed(f, to, slot+1) {
+				if !found || !pb.conf.Storage.permits(f, &e) || !r.EdgeAllowed(f, e) {
 					usable = false
 					break
 				}
@@ -617,39 +602,15 @@ func (b *builder) crashRoute(k int) (cols []lp.VarID, rows []modelKey, ok bool) 
 }
 
 // shortestHopPath returns a BFS shortest path from src to dst over the
-// network's links, deterministic because neighbors are scanned in ascending
-// datacenter order.
+// network's links, read back through netmodel.Hops' search tree.
 func shortestHopPath(nw *netmodel.Network, src, dst netmodel.DC) ([]netmodel.DC, bool) {
-	n := nw.NumDCs()
-	prev := make([]netmodel.DC, n)
-	for i := range prev {
-		prev[i] = -1
-	}
-	seen := make([]bool, n)
-	seen[src] = true
-	queue := []netmodel.DC{src}
-	for len(queue) > 0 && !seen[dst] {
-		u := queue[0]
-		queue = queue[1:]
-		for v := 0; v < n; v++ {
-			d := netmodel.DC(v)
-			if !seen[v] && nw.HasLink(u, d) {
-				seen[v] = true
-				prev[v] = u
-				queue = append(queue, d)
-			}
-		}
-	}
-	if !seen[dst] {
+	dist, prev := nw.Hops(src, false)
+	if dist[dst] == netmodel.Unreachable {
 		return nil, false
 	}
-	var rev []netmodel.DC
-	for d := dst; d != -1; d = prev[d] {
-		rev = append(rev, d)
-	}
-	path := make([]netmodel.DC, len(rev))
-	for i, d := range rev {
-		path[len(rev)-1-i] = d
+	path := make([]netmodel.DC, dist[dst]+1)
+	for i, d := len(path)-1, dst; i >= 0; i, d = i-1, prev[d] {
+		path[i] = d
 	}
 	return path, true
 }

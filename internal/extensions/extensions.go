@@ -81,17 +81,9 @@ func solveMaxVolume(ledger *netmodel.Ledger, files []netmodel.File, t int,
 			Status:      lp.Optimal,
 		}, nil
 	}
-	horizon := 0
-	for _, f := range files {
-		if err := f.Validate(nw); err != nil {
-			return nil, err
-		}
-		if f.Release < t {
-			return nil, fmt.Errorf("extensions: file %d released at %d before solve slot %d", f.ID, f.Release, t)
-		}
-		if end := f.Release + f.Deadline - t; end > horizon {
-			horizon = end
-		}
+	horizon, err := netmodel.CheckBatch(nw, files, t)
+	if err != nil {
+		return nil, err
 	}
 	tg, err := timegraph.Build(nw, t, horizon)
 	if err != nil {
@@ -104,25 +96,22 @@ func solveMaxVolume(ledger *netmodel.Ledger, files []netmodel.File, t int,
 	for k, f := range files {
 		delivered[k] = m.AddVariable(0, f.Size, 1, fmt.Sprintf("delivered_f%d", f.ID))
 	}
-	// Transfer variables over each file's pruned subgraph.
+	// Transfer variables over each file's pruned subgraph. A structurally
+	// undeliverable file has none (nil mvars[k]); its delivery is forced to
+	// zero below.
 	mvars := make([][]lp.VarID, len(files))
 	reach := make([]timegraph.Reachability, len(files))
 	for k, f := range files {
 		reach[k] = tg.FileReachability(f)
+		if reach[k].FromSrc[f.Dst] > f.Deadline {
+			continue
+		}
 		mvars[k] = make([]lp.VarID, tg.NumEdges())
 		for i := range mvars[k] {
 			mvars[k][i] = -1
 		}
-		first, last, ok := tg.FileWindow(f)
-		if !ok || reach[k].FromSrc[f.Dst] > f.Deadline {
-			continue // structurally undeliverable: delivered is forced to 0 below
-		}
-		r := reach[k]
-		tg.Edges(func(e timegraph.Edge) {
-			if e.Slot < first || e.Slot > last {
-				return
-			}
-			if !r.Allowed(f, e.From, e.Slot) || !r.Allowed(f, e.To, e.Slot+1) {
+		tg.WindowEdges(f, func(e timegraph.Edge) {
+			if !reach[k].EdgeAllowed(f, e) {
 				return
 			}
 			obj := 0.0
@@ -158,6 +147,9 @@ func solveMaxVolume(ledger *netmodel.Ledger, files []netmodel.File, t int,
 		var idx []lp.VarID
 		var val []float64
 		for k := range files {
+			if mvars[k] == nil {
+				continue
+			}
 			if v := mvars[k][e.Index]; v >= 0 {
 				idx = append(idx, v)
 				val = append(val, 1)
@@ -186,14 +178,14 @@ func solveMaxVolume(ledger *netmodel.Ledger, files []netmodel.File, t int,
 	// destination demand.
 	n := nw.NumDCs()
 	for k, f := range files {
-		first, last, ok := tg.FileWindow(f)
-		if !ok || reach[k].FromSrc[f.Dst] > f.Deadline {
+		if mvars[k] == nil {
 			// Force zero delivery.
 			if _, err := m.AddConstraint(lp.EQ, 0, []lp.VarID{delivered[k]}, []float64{1}); err != nil {
 				return nil, err
 			}
 			continue
 		}
+		first, last, _ := tg.FileWindow(f)
 		deadlineLayer := f.Release + f.Deadline
 		if clamp := tg.Start() + tg.Horizon(); deadlineLayer > clamp {
 			deadlineLayer = clamp
@@ -290,11 +282,10 @@ func solveMaxVolume(ledger *netmodel.Ledger, files []netmodel.File, t int,
 	if err := schedule.Verify(res.Schedule, nw, effective, vc); err != nil {
 		return nil, fmt.Errorf("extensions: invalid schedule produced: %w", err)
 	}
-	clone := ledger.Clone()
-	if err := res.Schedule.Apply(clone); err != nil {
+	res.CostPerSlot, err = res.Schedule.Cost(ledger)
+	if err != nil {
 		return nil, err
 	}
-	res.CostPerSlot = clone.CostPerSlot()
 	return res, nil
 }
 

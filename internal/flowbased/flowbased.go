@@ -53,36 +53,14 @@ func active(f netmodel.File, n int) bool {
 	return n >= f.Release && n < f.Release+f.Deadline
 }
 
-// horizonOf reports the first slot after every file has finished.
-func horizonOf(files []netmodel.File, t int) int {
-	end := t
-	for _, f := range files {
-		if e := f.Release + f.Deadline; e > end {
-			end = e
-		}
-	}
-	return end
-}
-
-func validateFiles(nw *netmodel.Network, files []netmodel.File, t int) error {
-	for _, f := range files {
-		if err := f.Validate(nw); err != nil {
-			return err
-		}
-		if f.Release < t {
-			return fmt.Errorf("flowbased: file %d released at %d before solve slot %d", f.ID, f.Release, t)
-		}
-	}
-	return nil
-}
-
 // Solve computes the optimal flow-based assignment as a single LP: minimize
 // sum price*X subject to static per-file conservation, per-slot link
 // capacity, and the charged-volume epigraph rows. It is the strongest
 // possible scheduler within the no-storage flow model.
 func Solve(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result, error) {
 	nw := ledger.Network()
-	if err := validateFiles(nw, files, t); err != nil {
+	horizon, err := netmodel.CheckBatch(nw, files, t)
+	if err != nil {
 		return nil, err
 	}
 	if len(files) == 0 {
@@ -94,7 +72,7 @@ func Solve(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result, erro
 	if err := addConservation(m, nw, files, fvars); err != nil {
 		return nil, err
 	}
-	if err := addSlotRows(m, ledger, files, fvars, xvars, links, t, nil); err != nil {
+	if err := addSlotRows(m, ledger, files, fvars, xvars, links, t, t+horizon); err != nil {
 		return nil, err
 	}
 	sol, err := m.Solve(nil)
@@ -109,19 +87,15 @@ func Solve(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result, erro
 
 // emptyResult is the decision for an empty file set.
 func emptyResult(ledger *netmodel.Ledger) *Result {
-	return &Result{
-		Schedule:    &schedule.Schedule{},
-		Rates:       map[int][]LinkRate{},
-		CostPerSlot: ledger.CostPerSlot(),
-		Status:      lp.Optimal,
-	}
+	res := newResult(0)
+	res.CostPerSlot = ledger.CostPerSlot()
+	return res
 }
 
 // addFlowVars creates one rate variable per (file, link) and returns them
 // along with the link list.
 func addFlowVars(m *lp.Model, nw *netmodel.Network, files []netmodel.File) (map[int]map[netmodel.Link]lp.VarID, []netmodel.Link) {
-	var links []netmodel.Link
-	nw.Links(func(l netmodel.Link, _, _ float64) { links = append(links, l) })
+	links := linkList(nw)
 	fvars := make(map[int]map[netmodel.Link]lp.VarID, len(files))
 	for _, f := range files {
 		vars := make(map[netmodel.Link]lp.VarID, len(links))
@@ -186,13 +160,11 @@ func addConservation(m *lp.Model, nw *netmodel.Network, files []netmodel.File, f
 	return nil
 }
 
-// addSlotRows emits, for every link and slot of the horizon, the capacity
-// constraint and the charge epigraph row. capOverride, when non-nil,
-// replaces the residual capacity (used by the two-phase decomposition).
+// addSlotRows emits, for every link and slot in [t, end), the capacity
+// constraint and the charge epigraph row.
 func addSlotRows(m *lp.Model, ledger *netmodel.Ledger, files []netmodel.File,
 	fvars map[int]map[netmodel.Link]lp.VarID, xvars map[netmodel.Link]lp.VarID,
-	links []netmodel.Link, t int, capOverride func(l netmodel.Link, slot int) float64) error {
-	end := horizonOf(files, t)
+	links []netmodel.Link, t, end int) error {
 	for _, l := range links {
 		for n := t; n < end; n++ {
 			var idx []lp.VarID
@@ -206,20 +178,14 @@ func addSlotRows(m *lp.Model, ledger *netmodel.Ledger, files []netmodel.File,
 			if len(idx) == 0 {
 				continue
 			}
-			capacity := ledger.Residual(l.From, l.To, n)
-			if capOverride != nil {
-				capacity = capOverride(l, n)
-			}
-			if _, err := m.AddConstraint(lp.LE, capacity, idx, val); err != nil {
+			if _, err := m.AddConstraint(lp.LE, ledger.Residual(l.From, l.To, n), idx, val); err != nil {
 				return err
 			}
-			if xvars != nil {
-				committed := ledger.VolumeAt(l.From, l.To, n)
-				idx = append(idx, xvars[l])
-				val = append(val, -1)
-				if _, err := m.AddConstraint(lp.LE, -committed, idx, val); err != nil {
-					return err
-				}
+			committed := ledger.VolumeAt(l.From, l.To, n)
+			idx = append(idx, xvars[l])
+			val = append(val, -1)
+			if _, err := m.AddConstraint(lp.LE, -committed, idx, val); err != nil {
+				return err
 			}
 		}
 	}
@@ -231,33 +197,9 @@ func addSlotRows(m *lp.Model, ledger *netmodel.Ledger, files []netmodel.File,
 func assemble(ledger *netmodel.Ledger, files []netmodel.File,
 	fvars map[int]map[netmodel.Link]lp.VarID, sol *lp.Solution,
 	links []netmodel.Link, xvars map[netmodel.Link]lp.VarID) (*Result, error) {
-	const tol = 1e-5
-	res := &Result{
-		Schedule: &schedule.Schedule{},
-		Rates:    make(map[int][]LinkRate, len(files)),
-		Status:   lp.Optimal,
-	}
+	res := newResult(len(files))
 	for _, f := range files {
-		var rates []LinkRate
-		for _, l := range links {
-			r := sol.Value(fvars[f.ID][l])
-			if r <= tol {
-				continue
-			}
-			rates = append(rates, LinkRate{From: l.From, To: l.To, Rate: r})
-			for n := f.Release; n < f.Release+f.Deadline; n++ {
-				res.Schedule.Add(schedule.Action{
-					FileID: f.ID, From: l.From, To: l.To, Slot: n, Amount: r,
-				})
-			}
-		}
-		sort.Slice(rates, func(a, b int) bool {
-			if rates[a].From != rates[b].From {
-				return rates[a].From < rates[b].From
-			}
-			return rates[a].To < rates[b].To
-		})
-		res.Rates[f.ID] = rates
+		res.addFlow(f, links, func(l netmodel.Link) float64 { return sol.Value(fvars[f.ID][l]) }, 1e-5)
 	}
 	nw := ledger.Network()
 	cost := 0.0
@@ -269,6 +211,33 @@ func assemble(ledger *netmodel.Ledger, files []netmodel.File,
 		return nil, fmt.Errorf("flowbased: LP produced invalid rates: %w", err)
 	}
 	return res, nil
+}
+
+// newResult is an optimal Result ready for addFlow.
+func newResult(nfiles int) *Result {
+	return &Result{
+		Schedule: &schedule.Schedule{},
+		Rates:    make(map[int][]LinkRate, nfiles),
+		Status:   lp.Optimal,
+	}
+}
+
+// addFlow records file f's static flow: every link whose rate exceeds tol,
+// in the order of links, enters Rates[f.ID] and carries that rate in each
+// slot of f's window.
+func (res *Result) addFlow(f netmodel.File, links []netmodel.Link, rate func(netmodel.Link) float64, tol float64) {
+	var rates []LinkRate
+	for _, l := range links {
+		r := rate(l)
+		if r <= tol {
+			continue
+		}
+		rates = append(rates, LinkRate{From: l.From, To: l.To, Rate: r})
+		for n := f.Release; n < f.Release+f.Deadline; n++ {
+			res.Schedule.Add(schedule.Action{FileID: f.ID, From: l.From, To: l.To, Slot: n, Amount: r})
+		}
+	}
+	res.Rates[f.ID] = rates
 }
 
 // ValidateRates independently checks a static rate assignment: per-file
@@ -359,7 +328,7 @@ func graphForSlotWindow(ledger *netmodel.Ledger, from, to int, extra map[netmode
 // rate cannot be placed.
 func SolveGreedy(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result, error) {
 	nw := ledger.Network()
-	if err := validateFiles(nw, files, t); err != nil {
+	if _, err := netmodel.CheckBatch(nw, files, t); err != nil {
 		return nil, err
 	}
 	if len(files) == 0 {
@@ -384,11 +353,8 @@ func SolveGreedy(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result
 			m[s] += rate
 		}
 	}
-	res := &Result{
-		Schedule: &schedule.Schedule{},
-		Rates:    make(map[int][]LinkRate, len(files)),
-		Status:   lp.Optimal,
-	}
+	res := newResult(len(files))
+	links := linkList(nw)
 	var unrouted []int
 	for _, f := range order {
 		remaining := f.DesiredRate()
@@ -433,20 +399,7 @@ func SolveGreedy(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result
 		if remaining > 1e-9 {
 			continue
 		}
-		var rates []LinkRate
-		for l, r := range perLink {
-			rates = append(rates, LinkRate{From: l.From, To: l.To, Rate: r})
-			for s := f.Release; s < f.Release+f.Deadline; s++ {
-				res.Schedule.Add(schedule.Action{FileID: f.ID, From: l.From, To: l.To, Slot: s, Amount: r})
-			}
-		}
-		sort.Slice(rates, func(a, b int) bool {
-			if rates[a].From != rates[b].From {
-				return rates[a].From < rates[b].From
-			}
-			return rates[a].To < rates[b].To
-		})
-		res.Rates[f.ID] = rates
+		res.addFlow(f, links, func(l netmodel.Link) float64 { return perLink[l] }, 0)
 	}
 	if len(unrouted) > 0 {
 		sort.Ints(unrouted)
@@ -455,7 +408,11 @@ func SolveGreedy(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result
 	if err := ValidateRates(ledger, files, res.Rates); err != nil {
 		return nil, fmt.Errorf("flowbased: greedy produced invalid rates: %w", err)
 	}
-	res.CostPerSlot = previewCost(ledger, res.Schedule)
+	cost, err := res.Schedule.Cost(ledger)
+	if err != nil {
+		return nil, err
+	}
+	res.CostPerSlot = cost
 	return res, nil
 }
 
@@ -464,14 +421,10 @@ func SolveGreedy(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result
 // *UnroutedError when a direct link is missing or too small.
 func Direct(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result, error) {
 	nw := ledger.Network()
-	if err := validateFiles(nw, files, t); err != nil {
+	if _, err := netmodel.CheckBatch(nw, files, t); err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Schedule: &schedule.Schedule{},
-		Rates:    make(map[int][]LinkRate, len(files)),
-		Status:   lp.Optimal,
-	}
+	res := newResult(len(files))
 	use := make(map[netmodel.Link]map[int]float64)
 	var unrouted []int
 	for _, f := range files {
@@ -494,28 +447,21 @@ func Direct(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result, err
 			unrouted = append(unrouted, f.ID)
 			continue
 		}
-		res.Rates[f.ID] = []LinkRate{{From: l.From, To: l.To, Rate: r}}
 		for s := f.Release; s < f.Release+f.Deadline; s++ {
 			use[l][s] += r
-			res.Schedule.Add(schedule.Action{FileID: f.ID, From: l.From, To: l.To, Slot: s, Amount: r})
 		}
+		res.addFlow(f, []netmodel.Link{l}, func(netmodel.Link) float64 { return r }, 0)
 	}
 	if len(unrouted) > 0 {
 		sort.Ints(unrouted)
 		return nil, &UnroutedError{FileIDs: unrouted}
 	}
-	res.CostPerSlot = previewCost(ledger, res.Schedule)
-	return res, nil
-}
-
-// previewCost evaluates the cost per slot after committing s, without
-// mutating the ledger.
-func previewCost(ledger *netmodel.Ledger, s *schedule.Schedule) float64 {
-	clone := ledger.Clone()
-	if err := s.Apply(clone); err != nil {
-		return math.NaN()
+	cost, err := res.Schedule.Cost(ledger)
+	if err != nil {
+		return nil, err
 	}
-	return clone.CostPerSlot()
+	res.CostPerSlot = cost
+	return res, nil
 }
 
 // UnroutedError reports files whose desired rate could not be placed.

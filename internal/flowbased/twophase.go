@@ -5,7 +5,6 @@ import (
 
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
-	"github.com/interdc/postcard/internal/schedule"
 )
 
 // SolveTwoPhase implements the decomposition sketched in Sec. II-B of the
@@ -21,18 +20,20 @@ import (
 // the paper-literal algorithm and for ablation studies.
 func SolveTwoPhase(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result, error) {
 	nw := ledger.Network()
-	if err := validateFiles(nw, files, t); err != nil {
+	horizon, err := netmodel.CheckBatch(nw, files, t)
+	if err != nil {
 		return nil, err
 	}
 	if len(files) == 0 {
 		return emptyResult(ledger), nil
 	}
 
-	lambda, f1, err := solveConcurrentPhase(ledger, files, t)
+	end := t + horizon
+	lambda, f1, err := solveConcurrentPhase(ledger, files, t, end)
 	if err != nil {
 		return nil, err
 	}
-	f2, status, sol2, _, xvars, err := solveResidualPhase(ledger, files, t, lambda, f1)
+	f2, status, sol2, _, xvars, err := solveResidualPhase(ledger, files, t, end, lambda, f1)
 	if err != nil {
 		return nil, err
 	}
@@ -40,25 +41,10 @@ func SolveTwoPhase(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Resu
 		return &Result{Status: status}, nil
 	}
 
-	res := &Result{
-		Schedule: &schedule.Schedule{},
-		Rates:    make(map[int][]LinkRate, len(files)),
-		Status:   lp.Optimal,
-	}
-	const tol = 1e-7
+	res := newResult(len(files))
+	links := linkList(nw)
 	for _, f := range files {
-		var rates []LinkRate
-		for _, l := range linkList(nw) {
-			r := f1[f.ID][l] + f2[f.ID][l]
-			if r <= tol {
-				continue
-			}
-			rates = append(rates, LinkRate{From: l.From, To: l.To, Rate: r})
-			for n := f.Release; n < f.Release+f.Deadline; n++ {
-				res.Schedule.Add(schedule.Action{FileID: f.ID, From: l.From, To: l.To, Slot: n, Amount: r})
-			}
-		}
-		res.Rates[f.ID] = rates
+		res.addFlow(f, links, func(l netmodel.Link) float64 { return f1[f.ID][l] + f2[f.ID][l] }, 1e-7)
 	}
 	cost := 0.0
 	nw.Links(func(l netmodel.Link, price, _ float64) {
@@ -79,7 +65,7 @@ func linkList(nw *netmodel.Network) []netmodel.Link {
 
 // solveConcurrentPhase maximizes the common routable fraction λ within the
 // paid headroom of every link and slot.
-func solveConcurrentPhase(ledger *netmodel.Ledger, files []netmodel.File, t int) (float64, map[int]map[netmodel.Link]float64, error) {
+func solveConcurrentPhase(ledger *netmodel.Ledger, files []netmodel.File, t, end int) (float64, map[int]map[netmodel.Link]float64, error) {
 	nw := ledger.Network()
 	m := lp.NewModel()
 	m.SetMaximize()
@@ -130,7 +116,6 @@ func solveConcurrentPhase(ledger *netmodel.Ledger, files []netmodel.File, t int)
 		}
 	}
 	// Capacity: paid headroom per (link, slot).
-	end := horizonOf(files, t)
 	for _, l := range links {
 		for s := t; s < end; s++ {
 			var idx []lp.VarID
@@ -180,7 +165,7 @@ func solveConcurrentPhase(ledger *netmodel.Ledger, files []netmodel.File, t int)
 
 // solveResidualPhase routes the remaining (1-λ) fraction of every file
 // minimizing the charged cost, with phase-1 flows fixed.
-func solveResidualPhase(ledger *netmodel.Ledger, files []netmodel.File, t int,
+func solveResidualPhase(ledger *netmodel.Ledger, files []netmodel.File, t, end int,
 	lambda float64, f1 map[int]map[netmodel.Link]float64) (
 	map[int]map[netmodel.Link]float64, lp.Status, *lp.Solution, []netmodel.Link, map[netmodel.Link]lp.VarID, error) {
 
@@ -236,7 +221,6 @@ func solveResidualPhase(ledger *netmodel.Ledger, files []netmodel.File, t int,
 		}
 	}
 	// Capacity and charge rows with the phase-1 usage folded in.
-	end := horizonOf(files, t)
 	for _, l := range links {
 		for s := t; s < end; s++ {
 			var idx []lp.VarID

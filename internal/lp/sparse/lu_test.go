@@ -76,7 +76,7 @@ func TestLUSolveRandom(t *testing.T) {
 		f.Solve(b, x, scratch)
 		// Check A*x == b.
 		ax := make([]float64, n)
-		m.MulVec(x, ax)
+		mulVec(m, x, ax)
 		for i := range b {
 			if math.Abs(ax[i]-b[i]) > 1e-8*(1+math.Abs(b[i])) {
 				t.Fatalf("trial %d n=%d: residual at row %d: %v vs %v", trial, n, i, ax[i], b[i])
@@ -103,7 +103,7 @@ func TestLUSolveTransposeRandom(t *testing.T) {
 		f.SolveT(c, y, scratch)
 		// Check Aᵀ*y == c.
 		aty := make([]float64, n)
-		m.MulTVec(y, aty)
+		mulTVec(m, y, aty)
 		for i := range c {
 			if math.Abs(aty[i]-c[i]) > 1e-8*(1+math.Abs(c[i])) {
 				t.Fatalf("trial %d n=%d: transpose residual at %d: %v vs %v", trial, n, i, aty[i], c[i])
@@ -133,7 +133,7 @@ func TestLUPermutedIdentity(t *testing.T) {
 	scratch := make([]float64, n)
 	f.Solve(b, x, scratch)
 	ax := make([]float64, n)
-	m.MulVec(x, ax)
+	mulVec(m, x, ax)
 	for i := range b {
 		if math.Abs(ax[i]-b[i]) > 1e-12 {
 			t.Errorf("A*x[%d] = %v, want %v", i, ax[i], b[i])
@@ -163,7 +163,7 @@ func TestLUSingularRepaired(t *testing.T) {
 	// The repaired factorization must solve the repaired matrix exactly:
 	// column Pos of A replaced by the unit column of Row.
 	rep := f.Repairs()[0]
-	d := m.Dense()
+	d := dense(m)
 	for i := 0; i < n; i++ {
 		d[i][rep.Pos] = 0
 	}

@@ -153,35 +153,6 @@ func (m *Matrix) At(i, j int) float64 {
 	return 0
 }
 
-// MulVec computes y = A*x into the provided slice, which must have length
-// Rows. x must have length Cols.
-func (m *Matrix) MulVec(x, y []float64) {
-	for i := range y {
-		y[i] = 0
-	}
-	for j := 0; j < m.Cols; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			y[m.RowIdx[p]] += m.Val[p] * xj
-		}
-	}
-}
-
-// MulTVec computes y = Aᵀ*x into the provided slice, which must have length
-// Cols. x must have length Rows.
-func (m *Matrix) MulTVec(x, y []float64) {
-	for j := 0; j < m.Cols; j++ {
-		sum := 0.0
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			sum += m.Val[p] * x[m.RowIdx[p]]
-		}
-		y[j] = sum
-	}
-}
-
 // CSR is a row-major (compressed sparse-row) mirror of a Matrix. Row i
 // occupies positions RowPtr[i]..RowPtr[i+1] of ColIdx and Val, with column
 // indices sorted ascending. The revised simplex keeps a CSR mirror of the
@@ -235,18 +206,4 @@ func (m *Matrix) ToCSR(c *CSR) *CSR {
 // returned slices alias the CSR and must not be mutated.
 func (c *CSR) RowSlices(i int) ([]int, []float64) {
 	return c.ColIdx[c.RowPtr[i]:c.RowPtr[i+1]], c.Val[c.RowPtr[i]:c.RowPtr[i+1]]
-}
-
-// Dense expands the matrix to a dense row-major [][]float64. For tests.
-func (m *Matrix) Dense() [][]float64 {
-	d := make([][]float64, m.Rows)
-	for i := range d {
-		d[i] = make([]float64, m.Cols)
-	}
-	for j := 0; j < m.Cols; j++ {
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			d[m.RowIdx[p]][j] = m.Val[p]
-		}
-	}
-	return d
 }

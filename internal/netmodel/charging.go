@@ -275,54 +275,3 @@ func (l *Ledger) Clone() *Ledger {
 	}
 	return cp
 }
-
-// PiecewiseLinearCost is a non-decreasing piecewise-linear cost function
-// c(x), the general form of ISP cost functions cited by the paper
-// (Goldberg et al.). Breakpoints hold the x-coordinates in increasing
-// order; Slopes[i] applies between Breakpoints[i] and Breakpoints[i+1]
-// (the last slope extends to infinity). The function starts at c(0) = Base.
-type PiecewiseLinearCost struct {
-	Base        float64
-	Breakpoints []float64 // ascending, first typically 0
-	Slopes      []float64 // len == len(Breakpoints), all >= 0
-}
-
-// LinearCost is the flat-price special case c(x) = a*x used throughout the
-// paper's formulation and evaluation.
-func LinearCost(a float64) PiecewiseLinearCost {
-	return PiecewiseLinearCost{Breakpoints: []float64{0}, Slopes: []float64{a}}
-}
-
-// Validate checks monotonicity requirements.
-func (p PiecewiseLinearCost) Validate() error {
-	if len(p.Breakpoints) == 0 || len(p.Breakpoints) != len(p.Slopes) {
-		return fmt.Errorf("netmodel: piecewise cost needs equal, nonzero breakpoints and slopes")
-	}
-	for i, s := range p.Slopes {
-		if s < 0 {
-			return fmt.Errorf("netmodel: negative slope %v at segment %d", s, i)
-		}
-	}
-	for i := 1; i < len(p.Breakpoints); i++ {
-		if p.Breakpoints[i] <= p.Breakpoints[i-1] {
-			return fmt.Errorf("netmodel: breakpoints not increasing at %d", i)
-		}
-	}
-	return nil
-}
-
-// At evaluates c(x). Values below the first breakpoint cost Base.
-func (p PiecewiseLinearCost) At(x float64) float64 {
-	c := p.Base
-	for i, b := range p.Breakpoints {
-		if x <= b {
-			break
-		}
-		end := x
-		if i+1 < len(p.Breakpoints) && p.Breakpoints[i+1] < x {
-			end = p.Breakpoints[i+1]
-		}
-		c += p.Slopes[i] * (end - b)
-	}
-	return c
-}

@@ -287,45 +287,6 @@ func TestLedgerClone(t *testing.T) {
 	}
 }
 
-func TestPiecewiseLinearCost(t *testing.T) {
-	p := PiecewiseLinearCost{
-		Base:        5,
-		Breakpoints: []float64{0, 10, 20},
-		Slopes:      []float64{1, 2, 0.5},
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ x, want float64 }{
-		{0, 5}, {5, 10}, {10, 15}, {15, 25}, {20, 35}, {30, 40},
-	}
-	for _, c := range cases {
-		if got := p.At(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestPiecewiseLinearCostValidate(t *testing.T) {
-	bad := []PiecewiseLinearCost{
-		{},
-		{Breakpoints: []float64{0, 1}, Slopes: []float64{1}},
-		{Breakpoints: []float64{0, 0}, Slopes: []float64{1, 1}},
-		{Breakpoints: []float64{0, 1}, Slopes: []float64{1, -1}},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d: expected validation error", i)
-		}
-	}
-	if LinearCost(3).Validate() != nil {
-		t.Error("LinearCost should validate")
-	}
-	if got := LinearCost(3).At(7); got != 21 {
-		t.Errorf("LinearCost(3).At(7) = %v, want 21", got)
-	}
-}
-
 func TestFig1Topology(t *testing.T) {
 	nw, file, err := Fig1Topology()
 	if err != nil {

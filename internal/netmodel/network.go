@@ -120,6 +120,42 @@ func (nw *Network) Links(fn func(l Link, price, capacity float64)) {
 	}
 }
 
+// Unreachable is the hop distance Hops reports for a datacenter with no
+// path to or from the origin; it exceeds any layer count or hop budget.
+const Unreachable = 1 << 30
+
+// Hops runs breadth-first search over the links from d (toward false) or
+// along reversed links toward d (toward true). dist[i] is the minimum
+// number of hops between i and d (Unreachable when there is none), and
+// prev[i] is i's parent in the search tree: the datacenter one hop nearer
+// to d (-1 at d and at unreachable datacenters). Neighbours are scanned in
+// ascending order, so the tree, and every route read back through prev, is
+// deterministic.
+func (nw *Network) Hops(d DC, toward bool) (dist []int, prev []DC) {
+	dist = make([]int, nw.n)
+	prev = make([]DC, nw.n)
+	for i := range dist {
+		dist[i], prev[i] = Unreachable, -1
+	}
+	dist[d] = 0
+	queue := []DC{d}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for u := 0; u < nw.n; u++ {
+			from, to := v, DC(u)
+			if toward {
+				from, to = to, from
+			}
+			if dist[u] == Unreachable && nw.HasLink(from, to) {
+				dist[u], prev[u] = dist[v]+1, v
+				queue = append(queue, DC(u))
+			}
+		}
+	}
+	return dist, prev
+}
+
 // NumLinks reports the number of existing directed links.
 func (nw *Network) NumLinks() int {
 	c := 0
@@ -184,6 +220,23 @@ func (f File) Validate(nw *Network) error {
 		return fmt.Errorf("netmodel: file %d has negative release slot %d", f.ID, f.Release)
 	}
 	return nil
+}
+
+// CheckBatch validates the files one solve at slot t plans: every file must
+// be valid on nw and released no earlier than t. It returns the number of
+// slots from t to the last deadline, the horizon the solve must cover.
+func CheckBatch(nw *Network, files []File, t int) (int, error) {
+	horizon := 0
+	for _, f := range files {
+		if err := f.Validate(nw); err != nil {
+			return 0, err
+		}
+		if f.Release < t {
+			return 0, fmt.Errorf("netmodel: file %d released at %d before solve slot %d", f.ID, f.Release, t)
+		}
+		horizon = max(horizon, f.Release+f.Deadline-t)
+	}
+	return horizon, nil
 }
 
 // DesiredRate is the constant transmission rate of the flow-based model

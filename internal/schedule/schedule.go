@@ -133,6 +133,16 @@ func (s *Schedule) Apply(ledger *netmodel.Ledger) error {
 	return nil
 }
 
+// Cost reports the ledger's cost per slot once s is committed, without
+// modifying the ledger.
+func (s *Schedule) Cost(ledger *netmodel.Ledger) (float64, error) {
+	trial := ledger.Clone()
+	if err := s.Apply(trial); err != nil {
+		return 0, err
+	}
+	return trial.CostPerSlot(), nil
+}
+
 // VerifyConfig parameterizes Verify.
 type VerifyConfig struct {
 	// Residual reports the available capacity of link i->j at slot, in GB,

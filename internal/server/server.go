@@ -39,8 +39,6 @@ type Config struct {
 	Network *netmodel.Network
 	// Charging is the percentile charging scheme of the ledger.
 	Charging netmodel.Charging
-	// Admission tunes the admission controller; nil selects defaults.
-	Admission *admission.Config
 	// SlotEvery advances the slot clock automatically at this period; 0
 	// leaves the clock manual (POST /v1/slots/advance only).
 	SlotEvery time.Duration
@@ -140,7 +138,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := admission.NewController(ledger, cfg.Admission)
+	ctrl, err := admission.NewController(ledger, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -124,7 +124,7 @@ func Restore(cfg Config, snap *Snapshot) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := admission.RestoreController(ledger, cfg.Admission, snap.Controller)
+	ctrl, err := admission.RestoreController(ledger, nil, snap.Controller)
 	if err != nil {
 		return nil, err
 	}

@@ -17,11 +17,6 @@ import (
 // the provisional fast-tier plans are committed as-is — the pure heuristic
 // whose optimality gap TestFastTierGapCIScale pins.
 type Fast struct {
-	// Config tunes the admission tier; nil selects defaults.
-	Config *admission.Config
-	// Label overrides Name; defaults to "postcard-fast" ("postcard-fast-only"
-	// when NoRepublish is set).
-	Label string
 	// NoRepublish skips the background LP re-optimization, committing the
 	// fast tier's provisional single-path plans unchanged.
 	NoRepublish bool
@@ -31,33 +26,21 @@ type Fast struct {
 	base   core.SolveStats // counters folded in from retired controllers
 }
 
-// Name implements Scheduler.
+// Name implements Scheduler: "postcard-fast", or "postcard-fast-only" with
+// NoRepublish.
 func (p *Fast) Name() string {
-	if p.Label != "" {
-		return p.Label
-	}
 	if p.NoRepublish {
 		return "postcard-fast-only"
 	}
 	return "postcard-fast"
 }
 
-// CloneScheduler implements CloneableScheduler: the copy deep-copies the
-// admission configuration (including the re-optimizer's solver
-// configuration) and starts with a fresh controller, so cloned cells run
-// bit-identically to a sequentially reused instance (every run binds a new
-// ledger, which retires the previous controller anyway).
+// CloneScheduler implements CloneableScheduler: the copy starts with a fresh
+// controller, so cloned cells run bit-identically to a sequentially reused
+// instance (every run binds a new ledger, which retires the previous
+// controller anyway).
 func (p *Fast) CloneScheduler() Scheduler {
-	out := &Fast{Label: p.Label, NoRepublish: p.NoRepublish}
-	if p.Config != nil {
-		cfg := *p.Config
-		if p.Config.Solver != nil {
-			solver := *p.Config.Solver
-			cfg.Solver = &solver
-		}
-		out.Config = &cfg
-	}
-	return out
+	return &Fast{NoRepublish: p.NoRepublish}
 }
 
 // ctrlStats maps the live controller's cumulative admission and LP counters
@@ -78,7 +61,7 @@ func (p *Fast) Schedule(ledger *netmodel.Ledger, files []netmodel.File, slot int
 		if p.ctrl != nil {
 			telemetry.Add(&p.base, p.ctrlStats())
 		}
-		ctrl, err := admission.NewController(ledger, p.Config)
+		ctrl, err := admission.NewController(ledger, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -1,13 +1,11 @@
 // Package stats provides the small statistical toolkit used by the
-// simulation harness: streaming accumulators, sample summaries, Student-t
-// confidence intervals, and percentile selection matching the semantics of
-// percentile-based ISP charging schemes.
+// simulation harness: streaming accumulators, sample summaries and Student-t
+// confidence intervals.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator is a streaming mean/variance accumulator using Welford's
@@ -139,29 +137,4 @@ func Summarize(xs []float64) Summary {
 		acc.Add(x)
 	}
 	return acc.Summarize()
-}
-
-// Percentile returns the q-th percentile (0 < q <= 100) of xs using the
-// charging-scheme convention from the paper: values are sorted ascending
-// and the element at (ceil(q/100*n))-th position (1-based) is returned.
-// With q=100 this is the maximum. It returns an error for empty input or
-// q outside (0, 100].
-func Percentile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: percentile of empty slice")
-	}
-	if q <= 0 || q > 100 {
-		return 0, fmt.Errorf("stats: percentile q=%v out of range (0, 100]", q)
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(q / 100 * float64(len(sorted))))
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > len(sorted) {
-		idx = len(sorted)
-	}
-	return sorted[idx-1], nil
 }

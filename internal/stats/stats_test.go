@@ -88,42 +88,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := []struct {
-		q    float64
-		want float64
-	}{{100, 5}, {80, 4}, {20, 1}, {1, 1}, {60, 3}}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.q)
-		if err != nil {
-			t.Fatalf("Percentile(%v): %v", c.q, err)
-		}
-		if got != c.want {
-			t.Errorf("Percentile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Error("expected error for empty input")
-	}
-	if _, err := Percentile(xs, 0); err == nil {
-		t.Error("expected error for q=0")
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("expected error for q>100")
-	}
-}
-
-func TestPercentileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Percentile(xs, 50); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("input mutated: %v", xs)
-	}
-}
-
 func TestAccumulatorMatchesNaiveFormulas(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -141,26 +105,6 @@ func TestAccumulatorMatchesNaiveFormulas(t *testing.T) {
 		}
 		naiveVar := ss / float64(n-1)
 		return math.Abs(a.Mean()-mean) < 1e-9 && math.Abs(a.Variance()-naiveVar) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPercentile100IsMax(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(40)
-		xs := make([]float64, n)
-		maxV := math.Inf(-1)
-		for i := range xs {
-			xs[i] = rng.Float64() * 100
-			if xs[i] > maxV {
-				maxV = xs[i]
-			}
-		}
-		got, err := Percentile(xs, 100)
-		return err == nil && got == maxV
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

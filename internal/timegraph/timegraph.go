@@ -162,52 +162,37 @@ func (g *Graph) FileWindow(f netmodel.File) (first, last int, ok bool) {
 	return first, last, true
 }
 
+// WindowEdges invokes fn for every edge of file f's window (the slots
+// FileWindow reports), in index order. It reports false, calling fn never,
+// when the window is empty.
+func (g *Graph) WindowEdges(f netmodel.File, fn func(e Edge)) bool {
+	first, last, ok := g.FileWindow(f)
+	if !ok {
+		return false
+	}
+	for s := first; s <= last; s++ {
+		for _, e := range g.SlotEdges(s) {
+			fn(e)
+		}
+	}
+	return true
+}
+
 // Reachability holds per-datacenter hop distances used to prune a file's
 // subgraph: FromSrc[i] is the minimum number of link hops from the file's
 // source to datacenter i, ToDst[i] the minimum from i to the destination.
-// Unreachable datacenters hold a value larger than any layer count.
+// Unreachable datacenters hold netmodel.Unreachable, larger than any layer
+// count.
 type Reachability struct {
 	FromSrc []int
 	ToDst   []int
 }
 
-const unreachable = 1 << 30
-
 // FileReachability computes hop distances for file f on the overlay.
 func (g *Graph) FileReachability(f netmodel.File) Reachability {
-	return Reachability{
-		FromSrc: g.bfs(f.Src, false),
-		ToDst:   g.bfs(f.Dst, true),
-	}
-}
-
-// bfs runs breadth-first search over the overlay links, forward from d
-// (reverse=false) or along reversed links toward d (reverse=true).
-func (g *Graph) bfs(d netmodel.DC, reverse bool) []int {
-	n := g.nw.NumDCs()
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = unreachable
-	}
-	dist[d] = 0
-	queue := []netmodel.DC{d}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for u := 0; u < n; u++ {
-			var connected bool
-			if reverse {
-				connected = g.nw.HasLink(netmodel.DC(u), v)
-			} else {
-				connected = g.nw.HasLink(v, netmodel.DC(u))
-			}
-			if connected && dist[u] == unreachable {
-				dist[u] = dist[v] + 1
-				queue = append(queue, netmodel.DC(u))
-			}
-		}
-	}
-	return dist
+	from, _ := g.nw.Hops(f.Src, false)
+	to, _ := g.nw.Hops(f.Dst, true)
+	return Reachability{FromSrc: from, ToDst: to}
 }
 
 // Permissive returns a Reachability over n datacenters that prunes
@@ -232,6 +217,12 @@ func (r Reachability) Allowed(f netmodel.File, dc netmodel.DC, layer int) bool {
 		return false
 	}
 	return r.FromSrc[dc] <= elapsed && r.ToDst[dc] <= remaining
+}
+
+// EdgeAllowed reports whether file f may use edge e: its tail must be
+// Allowed at the edge's slot and its head at the next layer.
+func (r Reachability) EdgeAllowed(f netmodel.File, e Edge) bool {
+	return r.Allowed(f, e.From, e.Slot) && r.Allowed(f, e.To, e.Slot+1)
 }
 
 // DOT writes the time-expanded graph in Graphviz format, one rank per

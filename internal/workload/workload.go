@@ -39,21 +39,6 @@ type UniformConfig struct {
 	Seed          int64
 }
 
-// PaperUniformConfig returns the exact workload parameters of Sec. VII for
-// the given deadline regime: 20 datacenters, 1-20 files per slot, sizes
-// 10-100 GB.
-func PaperUniformConfig(maxDeadline int, seed int64) UniformConfig {
-	return UniformConfig{
-		NumDCs:      netmodel.EvalDCs,
-		MinFiles:    1,
-		MaxFiles:    20,
-		MinSizeGB:   10,
-		MaxSizeGB:   100,
-		MaxDeadline: maxDeadline,
-		Seed:        seed,
-	}
-}
-
 // Validate checks the configuration.
 func (c UniformConfig) Validate() error {
 	if c.NumDCs < 2 {

@@ -64,7 +64,7 @@ func TestUniformFixedDeadline(t *testing.T) {
 }
 
 func TestUniformDeterministic(t *testing.T) {
-	cfg := PaperUniformConfig(3, 42)
+	cfg := UniformConfig{NumDCs: 20, MinFiles: 1, MaxFiles: 20, MinSizeGB: 10, MaxSizeGB: 100, MaxDeadline: 3, Seed: 42}
 	g1, err := NewUniform(cfg)
 	if err != nil {
 		t.Fatal(err)

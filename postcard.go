@@ -63,8 +63,6 @@ type (
 	Charging = netmodel.Charging
 	// Ledger tracks per-slot traffic volumes and charged volumes per link.
 	Ledger = netmodel.Ledger
-	// PiecewiseLinearCost is a non-decreasing piecewise-linear cost curve.
-	PiecewiseLinearCost = netmodel.PiecewiseLinearCost
 	// EvalSetting is one of the paper's four evaluation settings.
 	EvalSetting = netmodel.EvalSetting
 	// Instance is the JSON-serializable offline problem description.
