@@ -189,41 +189,12 @@ func solve(name string, ledger *postcard.Ledger, files []postcard.File, slot int
 			return nil, 0, 0, nil, err
 		}
 		return res.Schedule, res.CostPerSlot, res.Status, res, nil
-	case "postcard-fast", "postcard-fast-only":
-		// One-shot use of the admission fast tier: admit the files in order
-		// on provisional single-path plans; "postcard-fast" then republishes
-		// the batch through the LP before committing. Any rejection makes
-		// the instance infeasible for the fast tier (it never splits files).
-		ctrl, err := postcard.NewAdmissionController(ledger, nil)
-		if err != nil {
-			return nil, 0, 0, nil, err
-		}
-		for _, f := range files {
-			dec, err := ctrl.Admit(f, slot)
-			if err != nil {
-				return nil, 0, 0, nil, err
-			}
-			if !dec.Admitted {
-				return nil, 0, postcard.StatusInfeasible, nil,
-					fmt.Errorf("fast tier rejected file %d", f.ID)
-			}
-		}
-		if name == "postcard-fast" {
-			if err := ctrl.Republish(slot); err != nil {
-				return nil, 0, 0, nil, err
-			}
-		}
-		plan, _, err := ctrl.TakePlan()
-		if err != nil {
-			return nil, 0, 0, nil, err
-		}
-		cost, err := plan.Cost(ledger)
-		return plan, cost, postcard.StatusOptimal, nil, err
 	}
-	// Everything else — the flow baselines, direct, postcard-nostore, and
-	// any future registry entry — resolves through the scheduler registry
-	// and is run one-shot: plan the slot, then price the plan on a trial
-	// ledger. Unknown names fail here with the registry's name listing.
+	// Everything else — the admission fast tier, the flow baselines, direct,
+	// postcard-nostore, and any future registry entry — resolves through the
+	// scheduler registry and is run one-shot: plan the slot, then price the
+	// plan on a trial ledger. Unknown names fail here with the registry's
+	// name listing.
 	sched, err := postcard.SchedulerByName(name)
 	if err != nil {
 		return nil, 0, 0, nil, err

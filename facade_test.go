@@ -1,7 +1,9 @@
 package postcard_test
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/interdc/postcard"
@@ -148,5 +150,36 @@ func TestClientScheduler(t *testing.T) {
 	path, arc := res.Schedulers[0].Final.Mean, res.Schedulers[1].Final.Mean
 	if math.Abs(path-arc) > 0.05*(1+math.Abs(arc)) {
 		t.Errorf("path scheduler mean cost %v strayed from warm arc %v", path, arc)
+	}
+}
+
+// TestDuplicateFileIDRejected: a batch that repeats a file ID is malformed
+// input, not demand that does not fit. Every registry scheduler keys
+// per-file state by ID, so each must refuse such a batch with an error that
+// names the ID, and never with ErrInfeasible, which would let the simulator
+// shed the file and drop every copy of the ID while counting one.
+func TestDuplicateFileIDRejected(t *testing.T) {
+	nw, err := postcard.Complete(4, postcard.UniformPrices(1), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []postcard.File{
+		{ID: 7, Src: 0, Dst: 1, Size: 10, Release: 0, Deadline: 2},
+		{ID: 7, Src: 2, Dst: 3, Size: 10, Release: 0, Deadline: 2},
+	}
+	for _, info := range postcard.Schedulers() {
+		ledger, err := postcard.NewLedger(nw, postcard.MaxCharging(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = info.New().Schedule(ledger, files, 0)
+		switch {
+		case err == nil:
+			t.Errorf("%s: scheduled a batch that repeats file ID 7", info.Name)
+		case errors.Is(err, postcard.ErrInfeasible):
+			t.Errorf("%s: repeated file ID reported as infeasible: %v", info.Name, err)
+		case !strings.Contains(err.Error(), "ID 7"):
+			t.Errorf("%s: error does not name the repeated ID: %v", info.Name, err)
+		}
 	}
 }

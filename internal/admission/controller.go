@@ -126,9 +126,10 @@ func (c *Controller) BatchCost() float64 { return c.batchCost }
 // slot now: it searches for the cheapest feasible single-path placement
 // under the unreserved capacities (headroom-only under q < 100) and, when
 // one exists, reserves its slot-by-slot capacity and adds the file to the
-// open batch. A rejection reserves nothing and leaves the batch intact.
-// Batches are per slot: the previous slot's batch must have been taken
-// (TakePlan) or rolled back before admitting into a new slot.
+// open batch. A rejection reserves nothing and leaves the batch intact. A
+// file whose ID is already in the open batch is an error. Batches are per
+// slot: the previous slot's batch must have been taken (TakePlan) or rolled
+// back before admitting into a new slot.
 func (c *Controller) Admit(f netmodel.File, now int) (Decision, error) {
 	if _, err := netmodel.CheckBatch(c.res.Ledger().Network(), []netmodel.File{f}, now); err != nil {
 		return Decision{}, err
@@ -138,6 +139,11 @@ func (c *Controller) Admit(f netmodel.File, now int) (Decision, error) {
 			return Decision{}, fmt.Errorf("admission: batch for slot %d still open at slot %d", c.slot, now)
 		}
 		c.slot = now
+	}
+	for _, g := range c.files {
+		if g.ID == f.ID {
+			return Decision{}, fmt.Errorf("admission: file ID %d is already in the open batch", f.ID)
+		}
 	}
 	plan, expansions, exhaustive := planFile(c.res, f, c.q100)
 	if plan == nil {

@@ -223,9 +223,14 @@ func (f File) Validate(nw *Network) error {
 }
 
 // CheckBatch validates the files one solve at slot t plans: every file must
-// be valid on nw and released no earlier than t. It returns the number of
+// be valid on nw, released no earlier than t, and the only one with its ID
+// (every scheduler keys per-file state by ID). It returns the number of
 // slots from t to the last deadline, the horizon the solve must cover.
 func CheckBatch(nw *Network, files []File, t int) (int, error) {
+	var seen map[int]bool
+	if len(files) > 1 {
+		seen = make(map[int]bool, len(files))
+	}
 	horizon := 0
 	for _, f := range files {
 		if err := f.Validate(nw); err != nil {
@@ -233,6 +238,12 @@ func CheckBatch(nw *Network, files []File, t int) (int, error) {
 		}
 		if f.Release < t {
 			return 0, fmt.Errorf("netmodel: file %d released at %d before solve slot %d", f.ID, f.Release, t)
+		}
+		if seen[f.ID] {
+			return 0, fmt.Errorf("netmodel: file ID %d appears more than once in the batch", f.ID)
+		}
+		if seen != nil {
+			seen[f.ID] = true
 		}
 		horizon = max(horizon, f.Release+f.Deadline-t)
 	}

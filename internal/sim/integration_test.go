@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/interdc/postcard/internal/netmodel"
@@ -77,4 +78,35 @@ func TestAllSchedulersOneTrace(t *testing.T) {
 		t.Errorf("flow LP (%v) worse than direct (%v)", finals["flow-based"], finals["direct"])
 	}
 	t.Logf("final costs: %v", finals)
+}
+
+// TestRunRejectsRepeatedFileID: a trace whose slot repeats a file ID must
+// stop the run with an error naming the ID. Shedding it instead would drop
+// every file with that ID while counting only one drop.
+func TestRunRejectsRepeatedFileID(t *testing.T) {
+	nw, err := netmodel.Complete(4, workload.UniformPrices(1), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := &workload.Trace{Files: []netmodel.File{
+		{ID: 1, Src: 0, Dst: 1, Size: 10, Release: 0, Deadline: 2},
+		{ID: 1, Src: 2, Dst: 3, Size: 10, Release: 0, Deadline: 2},
+		{ID: 2, Src: 1, Dst: 3, Size: 10, Release: 1, Deadline: 2},
+	}}
+	for _, sched := range []Scheduler{
+		&Postcard{}, &Fast{NoRepublish: true}, &Flow{Variant: FlowLP},
+		&Flow{Variant: FlowTwoPhase}, &Flow{Variant: FlowGreedy}, &Flow{Variant: FlowDirect},
+	} {
+		ledger, err := netmodel.NewLedger(nw, netmodel.MaxCharging(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := Run(ledger, sched, trace, 3)
+		if err == nil {
+			t.Errorf("%s: run finished (%d scheduled, %d dropped) on a repeated file ID",
+				sched.Name(), rs.ScheduledFiles, rs.DroppedFiles)
+		} else if !strings.Contains(err.Error(), "ID 1") {
+			t.Errorf("%s: error does not name the repeated ID: %v", sched.Name(), err)
+		}
+	}
 }

@@ -167,50 +167,87 @@ func TestBenchScaleFigureShape(t *testing.T) {
 // table. Figs. 5 and 7 are left to CI's fig5-smoke job: their delay-tolerant
 // runs take tens of seconds.
 func TestCIScaleFigureCosts(t *testing.T) {
-	type pin struct {
-		cost    float64
-		dropped int
+	checkFigureCosts(t, 4, map[string]figurePin{
+		"postcard":      {2681.8645141596094, 0},
+		"postcard-warm": {2681.86451415961, 0},
+		"postcard-path": {2694.7753064433973, 0},
+		"postcard-fast": {2681.86451415961, 0},
+		"flow-based":    {2479.5255404396744, 0},
+	})
+	checkFigureCosts(t, 6, map[string]figurePin{
+		"postcard":      {2778.419177285214, 0},
+		"postcard-warm": {2778.7836099984197, 0},
+		"postcard-path": {2775.766896737802, 0},
+		"postcard-fast": {2085.5571454488504, 29},
+		"flow-based":    {2650.4839255710945, 0},
+	})
+}
+
+// TestCIScaleFlowBaselineCosts pins the CI-scale run costs (1e-9 relative)
+// and drops of the four flow baselines on Figs. 4-7, the numbers
+// `postcard-figs -fig N -q -schedulers flow-based,flow-two-phase,flow-greedy,direct`
+// prints. All four run in about two seconds together, so unlike the
+// Postcard pipelines they are pinned on the delay-tolerant figures too.
+func TestCIScaleFlowBaselineCosts(t *testing.T) {
+	checkFigureCosts(t, 4, map[string]figurePin{
+		"flow-based":     {2479.5255404396744, 0},
+		"flow-two-phase": {2483.9395473944774, 0},
+		"flow-greedy":    {3167.7518731774653, 0},
+		"direct":         {4356.9527632546724, 0},
+	})
+	checkFigureCosts(t, 5, map[string]figurePin{
+		"flow-based":     {1414.5118330897251, 0},
+		"flow-two-phase": {1414.5223783888234, 0},
+		"flow-greedy":    {1440.7812329006733, 0},
+		"direct":         {1762.4646780903443, 0},
+	})
+	checkFigureCosts(t, 6, map[string]figurePin{
+		"flow-based":     {2650.4839255710945, 0},
+		"flow-two-phase": {2681.988769191345, 0},
+		"flow-greedy":    {3414.3281225529172, 0},
+		"direct":         {2714.0477469190891, 45},
+	})
+	checkFigureCosts(t, 7, map[string]figurePin{
+		"flow-based":     {1467.2189207327654, 0},
+		"flow-two-phase": {1467.2294660318632, 0},
+		"flow-greedy":    {1496.3064162973756, 0},
+		"direct":         {1735.0669750231907, 1},
+	})
+}
+
+// figurePin is one scheduler's pinned CI-scale run cost and drop count.
+type figurePin struct {
+	cost    float64
+	dropped int
+}
+
+// checkFigureCosts runs CI-scale figure fig with the schedulers named in
+// want and checks each run cost, to 1e-9 relative, and drop count.
+func checkFigureCosts(t *testing.T, fig int, want map[string]figurePin) {
+	t.Helper()
+	setting, err := postcard.SettingByFigure(fig)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := map[int]map[string]pin{
-		4: {
-			"postcard":      {2681.8645141596094, 0},
-			"postcard-warm": {2681.86451415961, 0},
-			"postcard-path": {2694.7753064433973, 0},
-			"postcard-fast": {2681.86451415961, 0},
-			"flow-based":    {2479.5255404396744, 0},
-		},
-		6: {
-			"postcard":      {2778.419177285214, 0},
-			"postcard-warm": {2778.7836099984197, 0},
-			"postcard-path": {2775.766896737802, 0},
-			"postcard-fast": {2085.5571454488504, 29},
-			"flow-based":    {2650.4839255710945, 0},
-		},
-	}
-	names := []string{"postcard", "postcard-warm", "postcard-path", "postcard-fast", "flow-based"}
-	for _, fig := range []int{4, 6} {
-		setting, err := postcard.SettingByFigure(fig)
+	var scheds []postcard.Scheduler
+	for name := range want {
+		s, err := postcard.SchedulerByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scheds := make([]postcard.Scheduler, len(names))
-		for i, name := range names {
-			if scheds[i], err = postcard.SchedulerByName(name); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := postcard.RunFigure(postcard.FigureConfig{
-			Setting: setting, Scale: postcard.CIScale(), Schedulers: scheds,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range res.Schedulers {
-			w := want[fig][s.Name]
-			if math.Abs(s.Final.Mean-w.cost) > 1e-9*w.cost || s.DroppedFiles != w.dropped {
-				t.Errorf("fig %d %s: cost %v with %d dropped, want %v with %d",
-					fig, s.Name, s.Final.Mean, s.DroppedFiles, w.cost, w.dropped)
-			}
+		scheds = append(scheds, s)
+	}
+	res, err := postcard.RunFigure(postcard.FigureConfig{
+		Setting: setting, Scale: postcard.CIScale(), Schedulers: scheds,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range res.Schedulers {
+		w := want[s.Name]
+		if math.Abs(s.Final.Mean-w.cost) > 1e-9*w.cost || s.DroppedFiles != w.dropped {
+			t.Errorf("fig %d %s: cost %v with %d dropped, want %v with %d",
+				fig, s.Name, s.Final.Mean, s.DroppedFiles, w.cost, w.dropped)
 		}
 	}
 }
