@@ -35,14 +35,15 @@ const (
 	PricingPath
 )
 
-// pathBigM is the objective coefficient of the per-file artificial columns
-// that keep the restricted path master feasible before enough paths have
-// been generated. Any value dominating the true per-GB marginal delivery
-// cost (bounded by link prices times path length, orders of magnitude
-// smaller) yields the exact optimum; if the instance is genuinely
+// pathBigM is Postcard's objective coefficient of the per-file artificial
+// columns that keep the restricted path master feasible before enough
+// paths have been generated. Any value dominating the true per-GB marginal
+// delivery cost (bounded by link prices times path length, orders of
+// magnitude smaller) yields the exact optimum; if the instance is genuinely
 // infeasible the artificials stay positive and the caller falls back to an
 // arc-model solve for the authoritative verdict, so exactness never
-// depends on the constant.
+// depends on the constant. Sec. VI's master prices them at 1 instead (see
+// MaxVolume).
 const pathBigM = 1e9
 
 // pathCol records one materialized path column: the model variable, the
@@ -64,8 +65,20 @@ type pathBuilder struct {
 	instance
 
 	model *lp.Model
+	// The data that selects the problem the master solves: newPathBuilder
+	// sets Postcard's, MaxVolume overrides it with Sec. VI's. artPrice is
+	// the artificials' objective (pathBigM, or 1: undelivered GB); xCost
+	// scales each link's price into its X column's objective (1, or 0);
+	// paid reads capacities from the ledger's paid headroom instead of its
+	// residual (MaxBulk); maxCost, when non-nil, caps Σ price·X in
+	// budgetRow (MaxUnderBudget's budget; budgetRow is -1 when absent).
+	artPrice  float64
+	xCost     float64
+	paid      bool
+	maxCost   *float64
+	budgetRow lp.ConID
 	// demandRow[k] is file k's convexity row (sum of its path columns plus
-	// its artificial equals the file size); artVar[k] the big-M artificial.
+	// its artificial equals the file size); artVar[k] the artificial.
 	demandRow []lp.ConID
 	artVar    []lp.VarID
 	// xvars maps link -> charged-volume epigraph column. Unlike the arc
@@ -149,17 +162,19 @@ func newPathBuilder(recycle *pathBuilder, tg *timegraph.Graph, ledger *netmodel.
 		pb.rowKeys = pb.rowKeys[:0]
 	}
 	pb.instance = instance{tg: tg, ledger: ledger, files: files, reach: reach, conf: conf}
+	pb.artPrice, pb.xCost, pb.paid, pb.maxCost, pb.budgetRow = pathBigM, 1, false, nil, -1
 	pb.varUniverse, pb.prunedVars = 0, 0
 	return pb
 }
 
 // build assembles the initial restricted master: per-file demand rows with
-// their artificial columns, plus eager charge "floor" rows wherever the
-// ledger's committed volume already exceeds the charged-volume lower bound
-// on a supported edge (possible only under partial-percentile charging,
-// where the lazy-row slackness argument would not hold for them). Path
-// columns, capacity rows and the remaining charge rows all enter lazily
-// through pricing.
+// their artificial columns, the budget row over every link's X column when
+// there is a budget, plus eager charge "floor" rows wherever the ledger's
+// committed volume already exceeds the charged-volume lower bound on a
+// supported edge (possible only under partial-percentile charging, where
+// the lazy-row slackness argument would not hold for them). Path columns,
+// capacity rows and the remaining charge rows all enter lazily through
+// pricing.
 func (pb *pathBuilder) build() error {
 	ne := pb.tg.NumEdges()
 	pb.demandRow = intSlice(pb.demandRow, len(pb.files))
@@ -200,10 +215,10 @@ func (pb *pathBuilder) build() error {
 		pb.linkOf[e.Index] = id
 		pb.tight[e.Index] = e.Slot <= lastSlot &&
 			pb.ledger.VolumeAt(e.From, e.To, e.Slot) >= pb.ledger.ChargedVolume(e.From, e.To)
-		pb.blocked[e.Index] = pb.ledger.Residual(e.From, e.To, e.Slot) <= 0
+		pb.blocked[e.Index] = pb.capacity(e) <= 0
 	})
 	for k, f := range pb.files {
-		pb.artVar[k] = pb.model.AddVariable(0, math.Inf(1), pathBigM, "")
+		pb.artVar[k] = pb.model.AddVariable(0, math.Inf(1), pb.artPrice, "")
 		pb.colKeys = append(pb.colKeys, modelKey{kind: kindArt, file: f.ID, from: -1, to: -1, slot: -1})
 		row, err := pb.model.AddConstraint(lp.EQ, f.Size, []lp.VarID{pb.artVar[k]}, []float64{1})
 		if err != nil {
@@ -211,6 +226,19 @@ func (pb *pathBuilder) build() error {
 		}
 		pb.demandRow[k] = row
 		pb.rowKeys = append(pb.rowKeys, modelKey{kind: kindDemand, file: f.ID, from: -1, to: -1, slot: -1})
+	}
+	if pb.maxCost != nil {
+		pb.rowIdx, pb.rowVal = pb.rowIdx[:0], pb.rowVal[:0]
+		pb.tg.Network().Links(func(l netmodel.Link, price, _ float64) {
+			pb.rowIdx = append(pb.rowIdx, pb.ensureX(l.From, l.To, price))
+			pb.rowVal = append(pb.rowVal, price)
+		})
+		row, err := pb.model.AddConstraint(lp.LE, *pb.maxCost, pb.rowIdx, pb.rowVal)
+		if err != nil {
+			return err
+		}
+		pb.budgetRow = row
+		pb.rowKeys = append(pb.rowKeys, modelKey{kind: kindBudget, file: -1, from: -1, to: -1, slot: -1})
 	}
 	// Universe/support pass over the arc builder's universe, so VarUniverse
 	// and PrunedVars report the identical accounting and rows only ever
@@ -250,16 +278,16 @@ func (pb *pathBuilder) build() error {
 	return errOut
 }
 
-// ensureX returns the charged-volume epigraph column of e's link,
+// ensureX returns the charged-volume epigraph column of link from->to,
 // materializing it on first use.
-func (pb *pathBuilder) ensureX(e timegraph.Edge) lp.VarID {
-	l := netmodel.Link{From: e.From, To: e.To}
+func (pb *pathBuilder) ensureX(from, to netmodel.DC, price float64) lp.VarID {
+	l := netmodel.Link{From: from, To: to}
 	if x, ok := pb.xvars[l]; ok {
 		return x
 	}
-	x := pb.model.AddVariable(pb.ledger.ChargedVolume(e.From, e.To), math.Inf(1), e.Price, "")
+	x := pb.model.AddVariable(pb.ledger.ChargedVolume(from, to), math.Inf(1), price*pb.xCost, "")
 	pb.xvars[l] = x
-	pb.colKeys = append(pb.colKeys, modelKey{kind: kindX, file: -1, from: e.From, to: e.To, slot: -1})
+	pb.colKeys = append(pb.colKeys, modelKey{kind: kindX, file: -1, from: from, to: to, slot: -1})
 	pb.addedCols++
 	return x
 }
@@ -271,7 +299,7 @@ func (pb *pathBuilder) ensureChargeRow(e timegraph.Edge) (lp.ConID, error) {
 	if r := pb.chargeRow[e.Index]; r >= 0 {
 		return r, nil
 	}
-	x := pb.ensureX(e)
+	x := pb.ensureX(e.From, e.To, e.Price)
 	committed := pb.ledger.VolumeAt(e.From, e.To, e.Slot)
 	row, err := pb.model.AddConstraint(lp.LE, -committed, []lp.VarID{x}, []float64{-1})
 	if err != nil {
@@ -283,13 +311,21 @@ func (pb *pathBuilder) ensureChargeRow(e timegraph.Edge) (lp.ConID, error) {
 	return row, nil
 }
 
-// ensureCapRow returns e's residual-capacity row, creating it on first use.
+// capacity is what edge e may carry: its residual, or its paid headroom
+// when paid is set.
+func (pb *pathBuilder) capacity(e timegraph.Edge) float64 {
+	if pb.paid {
+		return pb.ledger.PaidHeadroom(e.From, e.To, e.Slot)
+	}
+	return pb.ledger.Residual(e.From, e.To, e.Slot)
+}
+
+// ensureCapRow returns e's capacity row, creating it on first use.
 func (pb *pathBuilder) ensureCapRow(e timegraph.Edge) (lp.ConID, error) {
 	if r := pb.capRow[e.Index]; r >= 0 {
 		return r, nil
 	}
-	residual := pb.ledger.Residual(e.From, e.To, e.Slot)
-	row, err := pb.model.AddConstraint(lp.LE, residual, nil, nil)
+	row, err := pb.model.AddConstraint(lp.LE, pb.capacity(e), nil, nil)
 	if err != nil {
 		return -1, err
 	}
@@ -347,25 +383,35 @@ func (pb *pathBuilder) priceFile(k int, y []float64, finder *timegraph.PathFinde
 
 // computeEdgeWeights fills edgeW with this round's transfer-edge pricing
 // weights (the Epsilon hop cost is added by the closure): −y for
-// materialized cap and charge rows, +Inf for zero-residual edges (their
+// materialized cap and charge rows, +Inf for zero-capacity edges (their
 // tight absent cap row certifies any exclusion: all weights are
 // nonnegative under feasible duals, so assigning it an arbitrarily
 // negative dual prices every such path above any σ), and for absent charge
 // rows the chosen lazy dual — zero when the row is slack at zero flow
 // (flow below the charged floor really is free), otherwise a share of the
-// link's budget. The heuristic pass (certificate=false) charges the full
-// budget on every absent tight row, the link's true marginal cost; since
-// one path crosses a link in at most one slot that guides the search
-// perfectly, but the implied dual vector over-spends the budget, so a
-// quiet heuristic round proves nothing. The certificate pass splits the
-// budget evenly across the link's absent tight rows, which is a genuinely
-// dual-feasible, complementary-slack extension of the master's duals: a
-// quiet certificate round is an optimality proof against the full model.
+// link's budget: its X column's reduced cost, price·xCost − price·y_B
+// (y_B the budget row's dual, zero without one) plus the materialized
+// charge rows' duals. Without charge rows that is the link price for
+// Postcard, price·(−y_B) under MaxUnderBudget and 0 for MaxBulk. The
+// heuristic pass (certificate=false) charges the full budget on every
+// absent tight row, the link's true marginal cost; since one path crosses
+// a link in at most one slot that guides the search perfectly, but the
+// implied dual vector over-spends the budget, so a quiet heuristic round
+// proves nothing. The certificate pass splits the budget evenly across the
+// link's absent tight rows, which is a genuinely dual-feasible,
+// complementary-slack extension of the master's duals: a quiet certificate
+// round is an optimality proof against the full model.
 func (pb *pathBuilder) computeEdgeWeights(y []float64, certificate bool) {
 	nl := len(pb.linkPrice)
 	pb.budget = intSlice(pb.budget, nl)
 	pb.absent = intSlice(pb.absent, nl)
-	copy(pb.budget, pb.linkPrice)
+	xrc := pb.xCost
+	if pb.budgetRow >= 0 {
+		xrc -= y[pb.budgetRow] // LE-row dual, ≤ 0
+	}
+	for i, price := range pb.linkPrice {
+		pb.budget[i] = price * xrc
+	}
 	for i := range pb.absent {
 		pb.absent[i] = 0
 	}

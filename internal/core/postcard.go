@@ -319,14 +319,23 @@ func (in *instance) result(sol *lp.Solution, m *lp.Model, c Counters, p planner)
 	}
 	res.Schedule = p.extractSchedule(sol)
 	res.CostPerSlot = p.chargedCost(sol)
+	if err := in.verify(res.Schedule, in.files); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// verify checks plan s for files against the network and the ledger's
+// residual capacities.
+func (in *instance) verify(s *schedule.Schedule, files []netmodel.File) error {
 	vc := schedule.VerifyConfig{
 		Residual: func(i, j netmodel.DC, slot int) float64 { return in.ledger.Residual(i, j, slot) },
 		Tol:      1e-4, // GB; matches LP tolerance noise on multi-GB files
 	}
-	if err := schedule.Verify(res.Schedule, in.tg.Network(), in.files, vc); err != nil {
-		return nil, fmt.Errorf("core: optimizer produced an invalid schedule: %w", err)
+	if err := schedule.Verify(s, in.tg.Network(), files, vc); err != nil {
+		return fmt.Errorf("core: optimizer produced an invalid schedule: %w", err)
 	}
-	return res, nil
+	return nil
 }
 
 // modelKey identifies one LP column or row of a Postcard model
@@ -354,6 +363,7 @@ const (
 	kindDemand                 // path master: convexity (demand) row of one file
 	kindArt                    // path master: big-M artificial column of one file
 	kindPath                   // path master: one path column (slot holds the path hash)
+	kindBudget                 // Sec. VI path master: MaxUnderBudget's budget row
 )
 
 // varDelayed marks a (file, edge) pair that belongs to the pruned variable

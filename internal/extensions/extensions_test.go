@@ -2,6 +2,7 @@ package extensions
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/interdc/postcard/internal/lp"
@@ -161,14 +162,27 @@ func TestMaxUnderBudgetInfeasibleWhenAlreadyOverBudget(t *testing.T) {
 	}
 }
 
+// TestMaxUnderBudgetRejectsNegativeBudget pins that a negative, NaN or
+// infinite budget is rejected by MaxUnderBudget and AdmitFiles alike,
+// whether or not the batch is empty.
 func TestMaxUnderBudgetRejectsNegativeBudget(t *testing.T) {
 	nw, err := netmodel.Complete(2, func(_, _ netmodel.DC) float64 { return 1 }, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ledger := newLedger(t, nw)
-	if _, err := MaxUnderBudget(ledger, nil, 0, -1); err == nil {
-		t.Error("expected error for negative budget")
+	files := []netmodel.File{{ID: 1, Src: 0, Dst: 1, Size: 5, Deadline: 2, Release: 0}}
+	for _, budget := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, batch := range [][]netmodel.File{nil, files} {
+			_, err := MaxUnderBudget(ledger, batch, 0, budget)
+			if err == nil || !strings.Contains(err.Error(), "extensions: invalid budget") {
+				t.Errorf("MaxUnderBudget(budget %v, %d files): err %v, want an invalid-budget error", budget, len(batch), err)
+			}
+			_, _, err = AdmitFiles(ledger, batch, 0, budget)
+			if err == nil || !strings.Contains(err.Error(), "extensions: invalid budget") {
+				t.Errorf("AdmitFiles(budget %v, %d files): err %v, want an invalid-budget error", budget, len(batch), err)
+			}
+		}
 	}
 }
 
@@ -245,6 +259,96 @@ func TestEmptyFilesExtensions(t *testing.T) {
 		}
 		if res.Status != lp.Optimal || res.TotalDelivered != 0 {
 			t.Errorf("%s: %+v", name, res)
+		}
+	}
+}
+
+// TestMaxBulkFreeUnderPercentileCharging checks that bulk transfers stay
+// free under 80th-percentile charging, where paid headroom includes the
+// full residual of slots already above the charged volume.
+func TestMaxBulkFreeUnderPercentileCharging(t *testing.T) {
+	nw, err := netmodel.Complete(3, func(_, _ netmodel.DC) float64 { return 2 }, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger, err := netmodel.NewLedger(nw, netmodel.Charging{Q: 80, PeriodSlots: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Link 0->1 carries 10, 20, 30, 40 and 50 GB in slots 0-4: the 80th
+	// percentile charges 40 GB, slot 4 is above it and slots 1-3 below.
+	for slot, v := range []float64{10, 20, 30, 40, 50} {
+		if err := ledger.Add(0, 1, slot, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ledger.Add(1, 2, 2, 30); err != nil {
+		t.Fatal(err)
+	}
+	base := ledger.CostPerSlot()
+	files := []netmodel.File{
+		{ID: 1, Src: 0, Dst: 1, Size: 100, Deadline: 4, Release: 1},
+		{ID: 2, Src: 0, Dst: 2, Size: 100, Deadline: 3, Release: 1},
+	}
+	res, err := MaxBulk(ledger, files, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != lp.Optimal || res.TotalDelivered < 1 {
+		t.Fatalf("status %v, delivered %v: want a nontrivial free plan", res.Status, res.TotalDelivered)
+	}
+	if math.Abs(res.CostPerSlot-base) > 1e-6 {
+		t.Errorf("cost per slot moved from %v to %v; bulk must be free", base, res.CostPerSlot)
+	}
+	trial := ledger.Clone()
+	if err := res.Schedule.Apply(trial); err != nil {
+		t.Fatal(err)
+	}
+	if got := trial.CostPerSlot(); math.Abs(got-base) > 1e-6 {
+		t.Errorf("committing the plan moved the cost per slot from %v to %v", base, got)
+	}
+}
+
+// TestUnreachableFileDeliversNothing checks both problems on a sparse
+// overlay: a file whose destination is more hops away than its deadline
+// delivers 0 without failing the solve, and the other files are served.
+func TestUnreachableFileDeliversNothing(t *testing.T) {
+	nw, err := netmodel.NewNetwork(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // chain 0 -> 1 -> 2 -> 3
+		if err := nw.SetLink(netmodel.DC(i), netmodel.DC(i+1), 1, 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ledger := newLedger(t, nw)
+	for i := 0; i < 3; i++ { // pays for 20 GB a slot on every link
+		if err := ledger.Add(netmodel.DC(i), netmodel.DC(i+1), 0, 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := []netmodel.File{
+		{ID: 1, Src: 0, Dst: 3, Size: 10, Deadline: 2, Release: 1}, // three hops in two slots
+		{ID: 2, Src: 0, Dst: 1, Size: 10, Deadline: 2, Release: 1},
+	}
+	bulk, err := MaxBulk(ledger, files, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget, err := MaxUnderBudget(ledger, files, 1, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*Result{"MaxBulk": bulk, "MaxUnderBudget": budget} {
+		if res.Status != lp.Optimal {
+			t.Fatalf("%s: status %v", name, res.Status)
+		}
+		if res.Delivered[1] != 0 {
+			t.Errorf("%s: unreachable file delivered %v, want 0", name, res.Delivered[1])
+		}
+		if math.Abs(res.Delivered[2]-10) > 1e-5 {
+			t.Errorf("%s: reachable file delivered %v, want 10", name, res.Delivered[2])
 		}
 	}
 }
