@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/interdc/postcard/internal/graph"
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/schedule"
@@ -43,7 +44,7 @@ const (
 // infeasible the artificials stay positive and the caller falls back to an
 // arc-model solve for the authoritative verdict, so exactness never
 // depends on the constant. Sec. VI's master prices them at 1 instead (see
-// MaxVolume).
+// MaxVolume), and so does the flow family's feasibility step (FlowRates).
 const pathBigM = 1e9
 
 // pathCol records one materialized path column: the model variable, the
@@ -66,17 +67,22 @@ type pathBuilder struct {
 
 	model *lp.Model
 	// The data that selects the problem the master solves: newPathBuilder
-	// sets Postcard's, MaxVolume overrides it with Sec. VI's. artPrice is
-	// the artificials' objective (pathBigM, or 1: undelivered GB); xCost
-	// scales each link's price into its X column's objective (1, or 0);
-	// paid reads capacities from the ledger's paid headroom instead of its
-	// residual (MaxBulk); maxCost, when non-nil, caps Σ price·X in
-	// budgetRow (MaxUnderBudget's budget; budgetRow is -1 when absent).
-	artPrice  float64
-	xCost     float64
-	paid      bool
-	maxCost   *float64
-	budgetRow lp.ConID
+	// sets Postcard's, MaxVolume and FlowRates override it (DESIGN.md
+	// §11). artPrice is the artificials' objective (pathBigM, or 1:
+	// undelivered volume); xCost scales each link's price into its X
+	// column's objective (1, or 0); paid reads capacities from the ledger's
+	// paid headroom instead of its residual; maxCost, when non-nil, caps
+	// Σ price·X in budgetRow (-1 when absent). flow makes every column a
+	// static overlay path carrying one rate through its file's window, and
+	// the demand the desired rate; concurrent adds the λ column lambda.
+	artPrice   float64
+	xCost      float64
+	paid       bool
+	maxCost    *float64
+	budgetRow  lp.ConID
+	flow       bool
+	concurrent bool
+	lambda     lp.VarID
 	// demandRow[k] is file k's convexity row (sum of its path columns plus
 	// its artificial equals the file size); artVar[k] the artificial.
 	demandRow []lp.ConID
@@ -112,7 +118,7 @@ type pathBuilder struct {
 	// zero, which is what keeps the round count flat as the network grows.
 	tight     []bool    // per edge in some file's window: absent charge row is tight at zero flow
 	blocked   []bool    // per edge: zero residual capacity, excluded outright
-	linkOf    []int     // per edge: dense link id (-1 for storage edges)
+	linkOf    []int     // per edge: dense link id (-1 for storage edges), its edge's index in the first slot
 	linkPrice []float64 // per link id: the link's price
 	budget    []float64 // per link id, per round: distributable charge dual
 	absent    []int     // per link id, per round: absent tight charge rows
@@ -163,6 +169,7 @@ func newPathBuilder(recycle *pathBuilder, tg *timegraph.Graph, ledger *netmodel.
 	}
 	pb.instance = instance{tg: tg, ledger: ledger, files: files, reach: reach, conf: conf}
 	pb.artPrice, pb.xCost, pb.paid, pb.maxCost, pb.budgetRow = pathBigM, 1, false, nil, -1
+	pb.flow, pb.concurrent, pb.lambda = false, false, -1
 	pb.varUniverse, pb.prunedVars = 0, 0
 	return pb
 }
@@ -217,10 +224,27 @@ func (pb *pathBuilder) build() error {
 			pb.ledger.VolumeAt(e.From, e.To, e.Slot) >= pb.ledger.ChargedVolume(e.From, e.To)
 		pb.blocked[e.Index] = pb.capacity(e) <= 0
 	})
+	if pb.concurrent {
+		pb.lambda = pb.model.AddVariable(0, 1, -1, "")
+		pb.colKeys = append(pb.colKeys, modelKey{kind: kindLambda, file: -1, from: -1, to: -1, slot: -1})
+	}
 	for k, f := range pb.files {
-		pb.artVar[k] = pb.model.AddVariable(0, math.Inf(1), pb.artPrice, "")
+		demand, artHi := f.Size, math.Inf(1)
+		switch {
+		case pb.concurrent:
+			// Right-hand side 0, which the artificial, held at 0, covers
+			// without entering the objective.
+			demand, artHi = 0, 0
+		case pb.flow:
+			demand = f.DesiredRate()
+		}
+		pb.artVar[k] = pb.model.AddVariable(0, artHi, pb.artPrice, "")
 		pb.colKeys = append(pb.colKeys, modelKey{kind: kindArt, file: f.ID, from: -1, to: -1, slot: -1})
-		row, err := pb.model.AddConstraint(lp.EQ, f.Size, []lp.VarID{pb.artVar[k]}, []float64{1})
+		idx, val := []lp.VarID{pb.artVar[k]}, []float64{1}
+		if pb.concurrent {
+			idx, val = append(idx, pb.lambda), append(val, -f.DesiredRate())
+		}
+		row, err := pb.model.AddConstraint(lp.EQ, demand, idx, val)
 		if err != nil {
 			return err
 		}
@@ -357,6 +381,10 @@ func (pb *pathBuilder) pricingWorkers() int {
 // priceFile runs file k's shortest-path subproblem under duals y using
 // finder, leaving the result in the per-file buffers.
 func (pb *pathBuilder) priceFile(k int, y []float64, finder *timegraph.PathFinder) {
+	if pb.flow {
+		pb.priceFlow(k)
+		return
+	}
 	f := pb.files[k]
 	eps := netmodel.Epsilon
 	weight := func(e *timegraph.Edge) float64 {
@@ -381,6 +409,43 @@ func (pb *pathBuilder) priceFile(k int, y []float64, finder *timegraph.PathFinde
 	pb.resEdges[k] = buf
 }
 
+// priceFlow is priceFile for flow columns: a shortest path on the static
+// overlay from the file's source to its destination, where link l weighs
+// Epsilon plus the sum of edgeW over l's edges in the file's window (the
+// rows the column would enter), expanded into those edges slot by slot.
+func (pb *pathBuilder) priceFlow(k int) {
+	f := pb.files[k]
+	w := make([]float64, len(pb.linkPrice))
+	pb.tg.WindowEdges(f, func(e timegraph.Edge) {
+		if !e.Storage {
+			w[pb.linkOf[e.Index]] += pb.edgeW[e.Index]
+		}
+	})
+	g := graph.New(pb.tg.Network().NumDCs())
+	var ids []int // graph edge -> link id; blocked links stay out
+	for id := range w {
+		if l := pb.tg.Edge(id); !math.IsInf(w[id], 1) {
+			// Both ends are datacenters of the network, so AddEdge cannot fail.
+			_, _ = g.AddEdge(int(l.From), int(l.To), 1, netmodel.Epsilon+max(w[id], 0))
+			ids = append(ids, id)
+		}
+	}
+	path, cost, ok := g.ShortestPath(int(f.Src), int(f.Dst), 0)
+	if pb.resOK[k], pb.resW[k] = ok, cost; !ok {
+		return
+	}
+	first, last, _ := pb.tg.FileWindow(f)
+	buf := pb.resEdges[k][:0]
+	for s := first; s <= last; s++ {
+		for _, id := range path {
+			l := pb.tg.Edge(ids[id])
+			e, _ := pb.tg.EdgeAt(l.From, l.To, s)
+			buf = append(buf, int32(e.Index))
+		}
+	}
+	pb.resEdges[k] = buf
+}
+
 // computeEdgeWeights fills edgeW with this round's transfer-edge pricing
 // weights (the Epsilon hop cost is added by the closure): −y for
 // materialized cap and charge rows, +Inf for zero-capacity edges (their
@@ -400,7 +465,10 @@ func (pb *pathBuilder) priceFile(k int, y []float64, finder *timegraph.PathFinde
 // proves nothing. The certificate pass splits the budget evenly across the
 // link's absent tight rows, which is a genuinely dual-feasible,
 // complementary-slack extension of the master's duals: a quiet certificate
-// round is an optimality proof against the full model.
+// round is an optimality proof against the full model. The split stays a
+// valid dual extension for flow columns, which the heuristic charge does
+// not fit: a flow column crosses its links in every slot of its window, so
+// the full budget on each absent row would charge a link once per slot.
 func (pb *pathBuilder) computeEdgeWeights(y []float64, certificate bool) {
 	nl := len(pb.linkPrice)
 	pb.budget = intSlice(pb.budget, nl)
@@ -483,6 +551,9 @@ func (pb *pathBuilder) PriceBatch(m *lp.Model, y []float64, tol float64) (int, i
 	}
 	pb.addedCols, pb.addedRows = 0, 0
 	for _, certificate := range []bool{false, true} {
+		if pb.flow && !certificate {
+			continue // see computeEdgeWeights
+		}
 		pb.computeEdgeWeights(y, certificate)
 		if workers == 1 {
 			for k := 0; k < nf; k++ {
@@ -548,9 +619,11 @@ func pathHash(file int32, edges []int32) uint64 {
 }
 
 // materializePath grafts one path column for file k onto the master,
-// creating the rows its transfer edges need first. Duplicate paths
-// (possible only under dual degeneracy at tolerance scale) are dropped —
-// the column already exists, so re-adding it could only loop the driver.
+// creating the rows its transfer edges need first. Its objective is
+// Epsilon per transfer edge, or for a flow column Epsilon per link of its
+// path. Duplicate paths (possible only under dual degeneracy at tolerance
+// scale) are dropped — the column already exists, so re-adding it could
+// only loop the driver.
 func (pb *pathBuilder) materializePath(k int, edges []int32) error {
 	f := pb.files[k]
 	h := pathHash(int32(k), edges)
@@ -589,6 +662,10 @@ func (pb *pathBuilder) materializePath(k int, edges []int32) error {
 		pb.conBuf = append(pb.conBuf, capID, chargeID)
 		pb.cofBuf = append(pb.cofBuf, 1, 1)
 	}
+	if pb.flow {
+		first, last, _ := pb.tg.FileWindow(f)
+		transfers /= last - first + 1
+	}
 	v, err := pb.model.AddColumn(0, math.Inf(1), netmodel.Epsilon*float64(transfers), "", pb.conBuf, pb.cofBuf)
 	if err != nil {
 		return err
@@ -601,6 +678,48 @@ func (pb *pathBuilder) materializePath(k int, edges []int32) error {
 	pb.colKeys = append(pb.colKeys, modelKey{kind: kindPath, file: f.ID, from: -1, to: -1, slot: int(h >> 1)})
 	pb.addedCols++
 	return nil
+}
+
+// solveSeeded builds the master under the builder's data, enters the
+// columns cols of an earlier master (as copied out with the edge arena
+// they index, for the same files), and solves it by column generation from
+// the crash basis.
+func (pb *pathBuilder) solveSeeded(cols []pathCol, arena []int32) (*lp.Solution, error) {
+	if err := pb.build(); err != nil {
+		return nil, err
+	}
+	for _, c := range cols {
+		if err := pb.materializePath(int(c.file), arena[c.start:c.end]); err != nil {
+			return nil, err
+		}
+	}
+	basis := mappedBasis(pb.colKeys, pb.rowKeys, nil, nil, pb.crashNewFiles)
+	sol, err := lp.SolvePriced(pb.model, pb, &lp.Options{InitialBasis: basis})
+	if err != nil {
+		return nil, fmt.Errorf("core: solving path master: %w", err)
+	}
+	return sol, nil
+}
+
+// flowRates reads a flow master's solution as rates[k][i], file k's rate
+// on link i in Network.Links order. A flow column's first slot holds its
+// path's links once each.
+func (pb *pathBuilder) flowRates(sol *lp.Solution) [][]float64 {
+	nl := len(pb.linkPrice)
+	rates := make([][]float64, len(pb.files))
+	for k := range rates {
+		rates[k] = make([]float64, nl)
+	}
+	for _, c := range pb.cols {
+		if v := sol.Value(c.v); v > 0 {
+			first, last, _ := pb.tg.FileWindow(pb.files[c.file])
+			edges := pb.arena[c.start:c.end]
+			for _, idx := range edges[:len(edges)/(last-first+1)] {
+				rates[c.file][pb.linkOf[idx]] += v
+			}
+		}
+	}
+	return rates
 }
 
 // artificialResidue reports the largest per-file artificial value relative

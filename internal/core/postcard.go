@@ -364,6 +364,7 @@ const (
 	kindArt                    // path master: big-M artificial column of one file
 	kindPath                   // path master: one path column (slot holds the path hash)
 	kindBudget                 // Sec. VI path master: MaxUnderBudget's budget row
+	kindLambda                 // flow path master: the concurrent phase's λ column
 )
 
 // varDelayed marks a (file, edge) pair that belongs to the pruned variable

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/interdc/postcard/internal/core"
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/schedule"
@@ -478,6 +479,37 @@ func TestMaxVolumeMatchesOracle(t *testing.T) {
 			}
 			ledger, files := paperLoadSlot(t, 10, 5)
 			check(t, ledger, files, 0, tc.budget, tc.want)
+		})
+	}
+}
+
+// TestMaxUnderBudgetIsCheapestAtItsVolume: among the plans that deliver
+// the maximum volume within the budget, MaxUnderBudget returns the
+// cheapest, which is Postcard's plan for the served files at their
+// delivered volumes. On the 8-DC paper-load slot (10 files, T=5) at
+// B = 1000 every file arrives, and at B = 100 the budget binds.
+func TestMaxUnderBudgetIsCheapestAtItsVolume(t *testing.T) {
+	for _, budget := range []float64{100, 1000} {
+		t.Run(fmt.Sprintf("B=%g", budget), func(t *testing.T) {
+			ledger, files := paperLoadSlot(t, 10, 5)
+			got := checkAgainstOracle(t, ledger, files, 0, &budget)
+			if got.Status != lp.Optimal {
+				t.Fatalf("status %v", got.Status)
+			}
+			var served []netmodel.File
+			for _, f := range files {
+				if v := got.Delivered[f.ID]; v > 1e-5 {
+					f.Size = v
+					served = append(served, f)
+				}
+			}
+			want, err := core.Solve(ledger, served, 0, &core.Config{Pricing: core.PricingPath})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := math.Abs(got.CostPerSlot - want.CostPerSlot); d > 1e-6*want.CostPerSlot {
+				t.Fatalf("cost per slot %.9g for %.9g GB; Postcard delivers them for %.9g", got.CostPerSlot, got.TotalDelivered, want.CostPerSlot)
+			}
 		})
 	}
 }

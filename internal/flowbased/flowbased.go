@@ -17,8 +17,9 @@
 //     matching the narrative of the paper's Fig. 3 walk-through;
 //   - Direct: no routing and no scheduling at all (Fig. 1a).
 //
-// The three LPs (Solve's and SolveTwoPhase's two) come from one builder,
-// buildFlowLP.
+// The three LPs (Solve's and SolveTwoPhase's two) are solved on core's
+// path master (core.FlowRates); this package assembles and checks their
+// rates (ValidateRates).
 package flowbased
 
 import (
@@ -26,6 +27,7 @@ import (
 	"math"
 	"sort"
 
+	"github.com/interdc/postcard/internal/core"
 	"github.com/interdc/postcard/internal/graph"
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
@@ -52,41 +54,79 @@ type Result struct {
 	Status lp.Status
 }
 
-// active reports whether file f occupies the network during slot n.
-func active(f netmodel.File, n int) bool {
-	return n >= f.Release && n < f.Release+f.Deadline
-}
-
 // Solve computes the optimal flow-based assignment as a single LP: minimize
 // sum price*X subject to static per-file conservation, per-slot link
-// capacity, and the charged-volume epigraph rows. It is SolveTwoPhase's cost
-// phase run with λ = 0 and no fixed flows, and the strongest possible
-// scheduler within the no-storage flow model.
+// capacity, and the charged-volume epigraph rows. It is the strongest
+// possible scheduler within the no-storage flow model. The LP is solved on
+// core's path master (core.FlowRates), whose columns are static overlay
+// paths.
 func Solve(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result, error) {
-	nw := ledger.Network()
-	horizon, err := netmodel.CheckBatch(nw, files, t)
+	p, err := core.FlowRates(ledger, files, t, false)
 	if err != nil {
 		return nil, err
 	}
-	if len(files) == 0 {
-		return emptyResult(ledger), nil
+	if p.Status != lp.Optimal {
+		return &Result{Status: p.Status}, nil
 	}
-	links := linkList(nw)
-	rates, cost, status, err := costPhase(ledger, files, links, t, t+horizon, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != lp.Optimal {
-		return &Result{Status: status}, nil
-	}
-	return flowResult(ledger, files, links, func(k, i int) float64 { return rates[k][i] }, 1e-5, cost)
+	return flowResult(ledger, files, p.Rates, 1e-5, p.CostPerSlot)
 }
 
-// emptyResult is the decision for an empty file set.
-func emptyResult(ledger *netmodel.Ledger) *Result {
-	res := newResult(0)
-	res.CostPerSlot = ledger.CostPerSlot()
-	return res
+// SolveTwoPhase implements the decomposition sketched in Sec. II-B of the
+// paper. Phase 1 solves a maximum-concurrent-flow problem: find the largest
+// common fraction λ of every file's desired rate that can be routed using
+// only capacity that is already paid for (traffic below the current
+// charged volume of each link adds no cost). Phase 2, the cost phase, routes
+// the remaining (1-λ) fraction of every rate as a minimum-cost
+// multicommodity flow against the true charging objective.
+//
+// Solve is the cost phase alone with λ = 0, so it dominates this
+// decomposition by construction; tests assert cost(Solve) <=
+// cost(SolveTwoPhase). The decomposition is kept as the paper-literal
+// algorithm and for ablation studies.
+func SolveTwoPhase(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result, error) {
+	p1, committed, err := concurrentFlows(ledger, files, t)
+	if err != nil {
+		return nil, err
+	}
+	var rest []netmodel.File // every file, or none when λ = 1
+	for _, f := range files {
+		if f.Size *= 1 - p1.Lambda; f.Size > 0 {
+			rest = append(rest, f)
+		}
+	}
+	p2, err := core.FlowRates(committed, rest, t, false)
+	if err != nil {
+		return nil, err
+	}
+	if p2.Status != lp.Optimal {
+		return &Result{Status: p2.Status}, nil
+	}
+	for k, rates := range p2.Rates {
+		for i, r := range rates {
+			p1.Rates[k][i] += r
+		}
+	}
+	return flowResult(ledger, files, p1.Rates, 1e-7, p2.CostPerSlot)
+}
+
+// concurrentFlows solves the decomposition's phase 1 and returns it with a
+// copy of the ledger that holds its rates, which the cost phase routes the
+// rest of every rate on top of.
+func concurrentFlows(ledger *netmodel.Ledger, files []netmodel.File, t int) (*core.FlowPlan, *netmodel.Ledger, error) {
+	p1, err := core.FlowRates(ledger, files, t, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	fixed := newResult(len(files))
+	links := linkList(ledger.Network())
+	for k, f := range files {
+		fixed.addFlow(f, links, func(i int) float64 { return p1.Rates[k][i] }, 1e-9)
+	}
+	committed := ledger.Clone()
+	if err := fixed.Schedule.Apply(committed); err != nil {
+		return nil, nil, err
+	}
+	return p1, committed, nil
 }
 
 func linkList(nw *netmodel.Network) []netmodel.Link {
@@ -95,188 +135,14 @@ func linkList(nw *netmodel.Network) []netmodel.Link {
 	return links
 }
 
-// flowPhase selects the static-flow LP that buildFlowLP writes. With lam
-// set it is the concurrent phase: the λ column carries every file's supply
-// (coefficient −r at the source and +r at the destination, right-hand
-// side 0), rate columns cost −ε, and the capacity rows allow the paid
-// headroom. With lam < 0 it is the cost phase: the supply is the
-// right-hand side (1−lambda)·r, rate columns cost +ε, the capacity rows
-// allow the residual less the fixed flow, and a charged-volume column X
-// per link, priced at the link, enters one charge row per (link, slot):
-// rates + fixed − X ≤ −VolumeAt.
-type flowPhase struct {
-	lam    lp.VarID
-	lambda float64
-	// fixed[k][i] is file k's flow on link i that the concurrent phase
-	// already routed (nil for none).
-	fixed [][]float64
-}
-
-// flowLP is a static-flow LP over files: file k's rate on link i is column
-// first + k·L + i (L = len(links)), and link i's charged volume, when the
-// LP has one, is column x + i.
-type flowLP struct {
-	links    []netmodel.Link
-	first, x lp.VarID
-}
-
-func (p *flowLP) rate(k, i int) lp.VarID { return p.first + lp.VarID(k*len(p.links)+i) }
-
-// buildFlowLP appends to m the rate columns, the cost phase's
-// charged-volume columns, one conservation row per (file, node), and for
-// every link and slot in [t, end) that some file is active in a capacity
-// row and the cost phase's charge row.
-func buildFlowLP(m *lp.Model, ledger *netmodel.Ledger, files []netmodel.File, links []netmodel.Link,
-	t, end int, ph flowPhase) (*flowLP, error) {
-	nw := ledger.Network()
-	costLP := ph.lam < 0
-	rateObj := -netmodel.Epsilon
-	if costLP {
-		rateObj = netmodel.Epsilon
-	}
-	p := &flowLP{links: links, first: lp.VarID(m.NumVariables()), x: -1}
-	for _, f := range files {
-		for range links {
-			m.AddVariable(0, f.DesiredRate()*float64(nw.NumDCs()), rateObj, "")
-		}
-	}
-	if costLP {
-		p.x = lp.VarID(m.NumVariables())
-		for _, l := range links {
-			m.AddVariable(ledger.ChargedVolume(l.From, l.To), math.Inf(1), nw.Price(l.From, l.To), "")
-		}
-	}
-	// out[d] and in[d] list the links leaving and entering d, by ascending
-	// far end.
-	out := make([][]int, nw.NumDCs())
-	in := make([][]int, nw.NumDCs())
-	for i, l := range links {
-		out[l.From] = append(out[l.From], i)
-		in[l.To] = append(in[l.To], i)
-	}
-	var idx []lp.VarID
-	var val []float64
-	for k, f := range files {
-		r := f.DesiredRate()
-		for d := range out {
-			idx, val = idx[:0], val[:0]
-			for _, i := range out[d] {
-				idx, val = append(idx, p.rate(k, i)), append(val, 1)
-			}
-			for _, i := range in[d] {
-				idx, val = append(idx, p.rate(k, i)), append(val, -1)
-			}
-			supply := 0.0
-			switch netmodel.DC(d) {
-			case f.Src:
-				supply = r
-			case f.Dst:
-				supply = -r
-			}
-			rhs := 0.0
-			switch {
-			case costLP:
-				rhs = (1 - ph.lambda) * supply
-			case supply != 0:
-				idx, val = append(idx, ph.lam), append(val, -supply)
-			}
-			if len(idx) == 0 {
-				if rhs != 0 {
-					return nil, fmt.Errorf("flowbased: file %d endpoint D%d has no links", f.ID, d)
-				}
-				continue
-			}
-			if _, err := m.AddConstraint(lp.EQ, rhs, idx, val); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for i, l := range links {
-		for s := t; s < end; s++ {
-			idx, val = idx[:0], val[:0]
-			used := 0.0
-			for k, f := range files {
-				if active(f, s) {
-					idx, val = append(idx, p.rate(k, i)), append(val, 1)
-					if ph.fixed != nil {
-						used += ph.fixed[k][i]
-					}
-				}
-			}
-			if len(idx) == 0 {
-				continue
-			}
-			var capacity float64
-			if costLP {
-				if capacity = ledger.Residual(l.From, l.To, s) - used; capacity < 0 {
-					capacity = 0
-				}
-			} else {
-				capacity = ledger.PaidHeadroom(l.From, l.To, s)
-			}
-			if _, err := m.AddConstraint(lp.LE, capacity, idx, val); err != nil {
-				return nil, err
-			}
-			if !costLP {
-				continue
-			}
-			idx, val = append(idx, p.x+lp.VarID(i)), append(val, -1)
-			if _, err := m.AddConstraint(lp.LE, -(ledger.VolumeAt(l.From, l.To, s) + used), idx, val); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return p, nil
-}
-
-// rates reads the solved rate columns as rates[k][i], file k on link i,
-// with values at or below 1e-9 read as 0.
-func (p *flowLP) rates(sol *lp.Solution, nfiles int) [][]float64 {
-	L := len(p.links)
-	all := make([]float64, nfiles*L)
-	rates := make([][]float64, nfiles)
-	for k := range rates {
-		rates[k] = all[k*L : (k+1)*L]
-		for i := range rates[k] {
-			if v := sol.Value(p.rate(k, i)); v > 1e-9 {
-				rates[k][i] = v
-			}
-		}
-	}
-	return rates
-}
-
-// costPhase routes the remaining (1−λ) of every file's desired rate at the
-// least charged cost, on top of the fixed flows (nil for none), and returns
-// the rates it adds and the cost per slot.
-func costPhase(ledger *netmodel.Ledger, files []netmodel.File, links []netmodel.Link, t, end int,
-	lambda float64, fixed [][]float64) ([][]float64, float64, lp.Status, error) {
-	m := lp.NewModel()
-	p, err := buildFlowLP(m, ledger, files, links, t, end, flowPhase{lam: -1, lambda: lambda, fixed: fixed})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	sol, err := m.Solve(nil)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("flowbased: cost-phase LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, 0, sol.Status, nil
-	}
-	cost := 0.0
-	for i, l := range links {
-		cost += ledger.Network().Price(l.From, l.To) * sol.Value(p.x+lp.VarID(i))
-	}
-	return p.rates(sol, len(files)), cost, lp.Optimal, nil
-}
-
-// flowResult records every file's flow, rate(k, i) on link i for file k,
-// keeping the links whose rate exceeds tol, and checks it.
-func flowResult(ledger *netmodel.Ledger, files []netmodel.File, links []netmodel.Link,
-	rate func(k, i int) float64, tol, cost float64) (*Result, error) {
+// flowResult records every file's flow, rates[k][i] on the i-th link of
+// Network.Links for file k, keeping the links whose rate exceeds tol, and
+// checks it.
+func flowResult(ledger *netmodel.Ledger, files []netmodel.File, rates [][]float64, tol, cost float64) (*Result, error) {
 	res := newResult(len(files))
+	links := linkList(ledger.Network())
 	for k, f := range files {
-		res.addFlow(f, links, func(i int) float64 { return rate(k, i) }, tol)
+		res.addFlow(f, links, func(i int) float64 { return rates[k][i] }, tol)
 	}
 	res.CostPerSlot = cost
 	if err := ValidateRates(ledger, files, res.Rates); err != nil {
@@ -402,9 +268,6 @@ func SolveGreedy(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result
 	nw := ledger.Network()
 	if _, err := netmodel.CheckBatch(nw, files, t); err != nil {
 		return nil, err
-	}
-	if len(files) == 0 {
-		return emptyResult(ledger), nil
 	}
 	order := make([]netmodel.File, len(files))
 	copy(order, files)

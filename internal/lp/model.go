@@ -3,13 +3,9 @@
 // per-slot optimization (and both of the paper's baselines) are linear
 // programs, and the Go ecosystem offers no stdlib LP support.
 //
-// The package contains two independent solvers:
-//
-//   - Solve: a sparse bounded-variable revised simplex (two-phase, LU basis
-//     factorization with eta updates) that scales to the time-expanded
-//     graphs of the paper's evaluation, and
-//   - SolveDense: a compact dense tableau simplex kept as an independent
-//     reference implementation for cross-checking.
+// Solve is a sparse bounded-variable revised simplex (two-phase, LU basis
+// factorization with eta updates) that scales to the time-expanded graphs
+// of the paper's evaluation.
 //
 // Models are built incrementally with AddVariable and AddConstraint. Solve
 // leaves the variables and constraints as they are but keeps its workspace

@@ -172,14 +172,14 @@ func TestCIScaleFigureCosts(t *testing.T) {
 		"postcard-warm": {2681.86451415961, 0},
 		"postcard-path": {2694.7753064433973, 0},
 		"postcard-fast": {2681.86451415961, 0},
-		"flow-based":    {2479.5255404396744, 0},
+		"flow-based":    {2480.5715126183686, 0},
 	})
 	checkFigureCosts(t, 6, map[string]figurePin{
 		"postcard":      {2778.419177285214, 0},
 		"postcard-warm": {2778.7836099984197, 0},
 		"postcard-path": {2775.766896737802, 0},
 		"postcard-fast": {2085.5571454488504, 29},
-		"flow-based":    {2650.4839255710945, 0},
+		"flow-based":    {2634.263812167954, 0},
 	})
 }
 
@@ -190,26 +190,26 @@ func TestCIScaleFigureCosts(t *testing.T) {
 // Postcard pipelines they are pinned on the delay-tolerant figures too.
 func TestCIScaleFlowBaselineCosts(t *testing.T) {
 	checkFigureCosts(t, 4, map[string]figurePin{
-		"flow-based":     {2479.5255404396744, 0},
-		"flow-two-phase": {2483.9395473944774, 0},
+		"flow-based":     {2480.5715126183686, 0},
+		"flow-two-phase": {2485.077399997073, 0},
 		"flow-greedy":    {3167.7518731774653, 0},
 		"direct":         {4356.9527632546724, 0},
 	})
 	checkFigureCosts(t, 5, map[string]figurePin{
-		"flow-based":     {1414.5118330897251, 0},
-		"flow-two-phase": {1414.5223783888234, 0},
+		"flow-based":     {1363.4010164194437, 0},
+		"flow-two-phase": {1366.7386894765746, 0},
 		"flow-greedy":    {1440.7812329006733, 0},
 		"direct":         {1762.4646780903443, 0},
 	})
 	checkFigureCosts(t, 6, map[string]figurePin{
-		"flow-based":     {2650.4839255710945, 0},
-		"flow-two-phase": {2681.988769191345, 0},
+		"flow-based":     {2634.263812167954, 0},
+		"flow-two-phase": {2679.897876672223, 0},
 		"flow-greedy":    {3414.3281225529172, 0},
 		"direct":         {2714.0477469190891, 45},
 	})
 	checkFigureCosts(t, 7, map[string]figurePin{
-		"flow-based":     {1467.2189207327654, 0},
-		"flow-two-phase": {1467.2294660318632, 0},
+		"flow-based":     {1414.464980172217, 0},
+		"flow-two-phase": {1417.9260565451966, 0},
 		"flow-greedy":    {1496.3064162973756, 0},
 		"direct":         {1735.0669750231907, 1},
 	})

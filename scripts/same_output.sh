@@ -20,12 +20,23 @@
 # masked. Any other difference prints a unified diff and exits 1. Registry
 # names come from the working tree's `postcard-solve -scheduler help`.
 #
-# Usage:  scripts/same_output.sh <rev>        (e.g. scripts/same_output.sh HEAD)
+# Moved-output mode: names after <rev> are allowed to move. A scheduler
+# name prints, for every figure, its run cost and drops old -> new with the
+# relative change, and its figure rows and CSV columns and its
+# postcard-solve outputs leave the comparison; an `example-<dir>` name
+# prints that example's diff and leaves it out too. Any other difference
+# still prints a unified diff and exits 1.
+#
+# Usage:  scripts/same_output.sh <rev> [name...]
+#         (e.g. scripts/same_output.sh HEAD, or
+#          scripts/same_output.sh HEAD~ flow-based example-budget-planner)
 # Env:    TMPDIR   where the temporary copy, binaries and outputs go
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-rev="${1:?usage: scripts/same_output.sh <rev>}"
+rev="${1:?usage: scripts/same_output.sh <rev> [name...]}"
+shift
+moved=("$@")
 git rev-parse --verify --quiet "$rev^{commit}" >/dev/null || { echo "same_output: unknown revision $rev" >&2; exit 2; }
 
 tmp="$(mktemp -d)"
@@ -85,6 +96,40 @@ for side in base work; do
   find "$tmp/$side/out" -type f -exec sed -E -i \
     -e 's/[[:space:]]*\b([0-9]+(\.[0-9]+)?(ns|us|µs|ms|h|m|s))+\b[[:space:]]*/ <dur> /g' \
     -e "s|$tmp/$side/out/||g" {} +
+done
+
+# The moved-output report, after which the names it covers leave both sides.
+for name in ${moved[@]+"${moved[@]}"}; do
+  case "$name" in
+  example-*)
+    echo "same_output: moved: $name" >&2
+    diff -u "$tmp/base/out/$name" "$tmp/work/out/$name" >&2 || true
+    rm -f "$tmp/base/out/$name" "$tmp/work/out/$name"
+    continue
+    ;;
+  esac
+  for n in 4 5 6 7; do
+    awk -v name="$name" -v fig="$n" '
+      FNR == 1 { side++ }
+      FNR > 2 && NF == 0 { nextfile }
+      FNR > 2 && $1 == name { cost[side] = $2; drop[side] = $4 }
+      END {
+        if (cost[1] == "" && cost[2] == "") exit
+        rel = cost[1] != 0 ? sprintf("%+.3f%%", 100 * (cost[2] - cost[1]) / cost[1]) : "n/a"
+        printf "fig %s  %-16s cost %s -> %s (%s)  dropped %s -> %s\n", fig, name, cost[1], cost[2], rel, drop[1], drop[2]
+      }' "$tmp/base/out/figs-$n" "$tmp/work/out/figs-$n" >&2
+  done
+  for side in base work; do
+    find "$tmp/$side/out" -maxdepth 1 -name "figs-*" -exec sed -i -E "/^$name[[:space:]]/d" {} +
+    for csv in "$tmp/$side/out"/csv-fig*/*.csv; do
+      awk -F, -v OFS=, -v name="$name" '
+        FNR == 1 { for (i = 1; i <= NF; i++) if ($i == name) skip = i }
+        { out = ""; for (i = 1; i <= NF; i++) if (i != skip) out = out (out == "" ? "" : OFS) $i; print out }
+      ' "$csv" >"$csv.tmp" && mv "$csv.tmp" "$csv"
+    done
+    rm -f "$tmp/$side/out/solve-builtin-$name" "$tmp/$side/out/solve-builtin-$name.json" \
+      "$tmp/$side/out/solve-relay-$name" "$tmp/$side/out/solve-relay-$name.json"
+  done
 done
 
 if diff -ru "$tmp/base/out" "$tmp/work/out"; then
