@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -46,6 +47,15 @@ const (
 // depends on the constant. Sec. VI's master prices them at 1 instead (see
 // MaxVolume), and so does the flow family's feasibility step (FlowRates).
 const pathBigM = 1e9
+
+// The shared entries of pathBuilder's weight table: an edge without rows
+// whose absent charge row is slack weighs 0, a zero-capacity edge +Inf,
+// and a tight one its link's budget share at wLinks+lid.
+const (
+	wSlack = iota
+	wBlocked
+	wLinks
+)
 
 // pathCol records one materialized path column: the model variable, the
 // file it belongs to, and its edge sequence as a range into the builder's
@@ -120,9 +130,20 @@ type pathBuilder struct {
 	blocked   []bool    // per edge: zero residual capacity, excluded outright
 	linkOf    []int     // per edge: dense link id (-1 for storage edges), its edge's index in the first slot
 	linkPrice []float64 // per link id: the link's price
-	budget    []float64 // per link id, per round: distributable charge dual
-	absent    []int     // per link id, per round: absent tight charge rows
-	edgeW     []float64 // per edge, per round: transfer-edge pricing weight
+	budget    []float64 // per link id, per round: distributable charge dual, then its share
+	absent    []int     // per link id: absent tight charge rows
+
+	// Transfer-edge pricing weights in timegraph.Weights form: edge i
+	// weighs wRaw[wRef[i]] in the master (computeEdgeWeights) and
+	// wVal[wRef[i]] = Epsilon + that in the sweep. Edges without a
+	// materialized row share the entries wSlack, wBlocked and wLinks+lid;
+	// the k-th edge of rowEdges, which has a capacity or charge row, owns
+	// entry wLinks+len(linkPrice)+k. So a round rewrites one weight per link
+	// and per row edge, not one per edge of the horizon.
+	wRef     []int32
+	wRaw     []float64
+	wVal     []float64
+	rowEdges []int32 // edges with a materialized row
 
 	// Per-round pricing scratch: one PathFinder per worker, per-file result
 	// buffers written by the workers and consumed by the serial merge.
@@ -192,8 +213,9 @@ func (pb *pathBuilder) build() error {
 	pb.tight = intSlice(pb.tight, ne)
 	pb.blocked = intSlice(pb.blocked, ne)
 	pb.linkOf = intSlice(pb.linkOf, ne)
-	pb.edgeW = intSlice(pb.edgeW, ne)
-	pb.linkPrice = pb.linkPrice[:0]
+	pb.wRef = intSlice(pb.wRef, ne)
+	pb.rowEdges = pb.rowEdges[:0]
+	pb.linkPrice, pb.absent = pb.linkPrice[:0], pb.absent[:0]
 	linkID := make(map[netmodel.Link]int, len(pb.linkPrice))
 	for i := 0; i < ne; i++ {
 		pb.capRow[i], pb.chargeRow[i], pb.support[i] = -1, -1, false
@@ -218,11 +240,23 @@ func (pb *pathBuilder) build() error {
 			id = len(pb.linkPrice)
 			linkID[l] = id
 			pb.linkPrice = append(pb.linkPrice, e.Price)
+			pb.absent = append(pb.absent, 0)
 		}
 		pb.linkOf[e.Index] = id
 		pb.tight[e.Index] = e.Slot <= lastSlot &&
 			pb.ledger.VolumeAt(e.From, e.To, e.Slot) >= pb.ledger.ChargedVolume(e.From, e.To)
 		pb.blocked[e.Index] = pb.capacity(e) <= 0
+		switch {
+		case pb.blocked[e.Index]:
+			pb.wRef[e.Index] = wBlocked
+		case pb.tight[e.Index]:
+			pb.wRef[e.Index] = wLinks + int32(id)
+		default:
+			pb.wRef[e.Index] = wSlack
+		}
+		if pb.tight[e.Index] {
+			pb.absent[id]++
+		}
 	})
 	if pb.concurrent {
 		pb.lambda = pb.model.AddVariable(0, 1, -1, "")
@@ -332,7 +366,21 @@ func (pb *pathBuilder) ensureChargeRow(e timegraph.Edge) (lp.ConID, error) {
 	pb.chargeRow[e.Index] = row
 	pb.rowKeys = append(pb.rowKeys, modelKey{kind: kindCharge, file: -1, from: e.From, to: e.To, slot: e.Slot})
 	pb.addedRows++
+	if pb.tight[e.Index] {
+		pb.absent[pb.linkOf[e.Index]]--
+	}
+	pb.noteRow(e.Index)
 	return row, nil
+}
+
+// noteRow gives edge i, which has just gained a materialized row, its own
+// weight entry, unless its other row already did.
+func (pb *pathBuilder) noteRow(i int) {
+	if pb.wRef[i] >= wLinks+int32(len(pb.linkPrice)) {
+		return
+	}
+	pb.wRef[i] = wLinks + int32(len(pb.linkPrice)+len(pb.rowEdges))
+	pb.rowEdges = append(pb.rowEdges, int32(i))
 }
 
 // capacity is what edge e may carry: its residual, or its paid headroom
@@ -356,6 +404,7 @@ func (pb *pathBuilder) ensureCapRow(e timegraph.Edge) (lp.ConID, error) {
 	pb.capRow[e.Index] = row
 	pb.rowKeys = append(pb.rowKeys, modelKey{kind: kindCap, file: -1, from: e.From, to: e.To, slot: e.Slot})
 	pb.addedRows++
+	pb.noteRow(e.Index)
 	return row, nil
 }
 
@@ -385,18 +434,8 @@ func (pb *pathBuilder) priceFile(k int, y []float64, finder *timegraph.PathFinde
 		pb.priceFlow(k)
 		return
 	}
-	f := pb.files[k]
-	eps := netmodel.Epsilon
-	weight := func(e *timegraph.Edge) float64 {
-		if !pb.conf.Storage.permits(f, e) {
-			return math.Inf(1)
-		}
-		if e.Storage {
-			return 0
-		}
-		return eps + pb.edgeW[e.Index]
-	}
-	path, w, ok := finder.ShortestPath(pb.tg, f, weight)
+	weights := timegraph.Weights{Ref: pb.wRef, Val: pb.wVal}
+	path, w, ok := finder.ShortestPath(pb.tg, pb.files[k], pb.conf.Storage, weights)
 	pb.resOK[k] = ok
 	if !ok {
 		return
@@ -411,14 +450,15 @@ func (pb *pathBuilder) priceFile(k int, y []float64, finder *timegraph.PathFinde
 
 // priceFlow is priceFile for flow columns: a shortest path on the static
 // overlay from the file's source to its destination, where link l weighs
-// Epsilon plus the sum of edgeW over l's edges in the file's window (the
-// rows the column would enter), expanded into those edges slot by slot.
+// Epsilon plus the sum of the master's weights of l's edges in the file's
+// window (the rows the column would enter), expanded into those edges slot
+// by slot.
 func (pb *pathBuilder) priceFlow(k int) {
 	f := pb.files[k]
 	w := make([]float64, len(pb.linkPrice))
 	pb.tg.WindowEdges(f, func(e timegraph.Edge) {
 		if !e.Storage {
-			w[pb.linkOf[e.Index]] += pb.edgeW[e.Index]
+			w[pb.linkOf[e.Index]] += pb.wRaw[pb.wRef[e.Index]]
 		}
 	})
 	g := graph.New(pb.tg.Network().NumDCs())
@@ -446,8 +486,8 @@ func (pb *pathBuilder) priceFlow(k int) {
 	pb.resEdges[k] = buf
 }
 
-// computeEdgeWeights fills edgeW with this round's transfer-edge pricing
-// weights (the Epsilon hop cost is added by the closure): −y for
+// computeEdgeWeights fills wRaw and wVal with this round's transfer-edge
+// pricing weights (wVal adds the Epsilon hop cost): −y for
 // materialized cap and charge rows, +Inf for zero-capacity edges (their
 // tight absent cap row certifies any exclusion: all weights are
 // nonnegative under feasible duals, so assigning it an arbitrarily
@@ -469,10 +509,20 @@ func (pb *pathBuilder) priceFlow(k int) {
 // valid dual extension for flow columns, which the heuristic charge does
 // not fit: a flow column crosses its links in every slot of its window, so
 // the full budget on each absent row would charge a link once per slot.
+//
+// The work is per link and per row edge. Absent counts change only when a
+// charge row materializes, so they are kept up to date there; a budget sums
+// its link's charge duals in edge-index order; and an edge without rows
+// weighs its link's share, 0 or +Inf through a shared entry, so only edges
+// with a row carry a weight of their own.
 func (pb *pathBuilder) computeEdgeWeights(y []float64, certificate bool) {
 	nl := len(pb.linkPrice)
+	rows := wLinks + nl
+	slices.Sort(pb.rowEdges) // rows materialize in path order
+	for k, i := range pb.rowEdges {
+		pb.wRef[i] = int32(rows + k)
+	}
 	pb.budget = intSlice(pb.budget, nl)
-	pb.absent = intSlice(pb.absent, nl)
 	xrc := pb.xCost
 	if pb.budgetRow >= 0 {
 		xrc -= y[pb.budgetRow] // LE-row dual, ≤ 0
@@ -480,30 +530,29 @@ func (pb *pathBuilder) computeEdgeWeights(y []float64, certificate bool) {
 	for i, price := range pb.linkPrice {
 		pb.budget[i] = price * xrc
 	}
-	for i := range pb.absent {
-		pb.absent[i] = 0
-	}
-	for i, lid := range pb.linkOf {
-		if lid < 0 {
-			continue
-		}
+	for _, i := range pb.rowEdges {
 		if r := pb.chargeRow[i]; r >= 0 {
-			pb.budget[lid] += y[r] // LE-row duals are ≤ 0
-		} else if pb.tight[i] {
-			pb.absent[lid]++
+			pb.budget[pb.linkOf[i]] += y[r] // LE-row duals are ≤ 0
 		}
 	}
-	for i := range pb.budget {
-		if pb.budget[i] < 0 {
-			pb.budget[i] = 0 // float noise; dual feasibility pins it at ≥ 0
+	// The table grows by the rows each round adds: grow it as append would.
+	n := rows + len(pb.rowEdges)
+	pb.wRaw = slices.Grow(pb.wRaw[:0], n)[:n]
+	pb.wVal = slices.Grow(pb.wVal[:0], n)[:n]
+	pb.wRaw[wSlack], pb.wRaw[wBlocked] = 0, math.Inf(1)
+	for lid, b := range pb.budget {
+		if b < 0 {
+			b = 0 // float noise; dual feasibility pins it at ≥ 0
 		}
+		if certificate {
+			b /= float64(pb.absent[lid])
+		}
+		pb.budget[lid] = b
+		pb.wRaw[wLinks+lid] = 0 + b // composed as for a row edge, which starts at 0
 	}
-	for i, lid := range pb.linkOf {
-		if lid < 0 {
-			continue
-		}
+	for k, i := range pb.rowEdges {
 		if pb.blocked[i] {
-			pb.edgeW[i] = math.Inf(1)
+			pb.wRaw[rows+k] = math.Inf(1)
 			continue
 		}
 		w := 0.0
@@ -513,13 +562,12 @@ func (pb *pathBuilder) computeEdgeWeights(y []float64, certificate bool) {
 		if r := pb.chargeRow[i]; r >= 0 {
 			w -= y[r]
 		} else if pb.tight[i] {
-			if certificate {
-				w += pb.budget[lid] / float64(pb.absent[lid])
-			} else {
-				w += pb.budget[lid]
-			}
+			w += pb.budget[pb.linkOf[i]]
 		}
-		pb.edgeW[i] = w
+		pb.wRaw[rows+k] = w
+	}
+	for j, w := range pb.wRaw {
+		pb.wVal[j] = netmodel.Epsilon + w
 	}
 }
 

@@ -25,37 +25,16 @@ import (
 
 // StoragePolicy controls which datacenters may hold data between slots —
 // the store-and-forward capability the paper studies. The zero value is
-// StorageEverywhere.
-type StoragePolicy int
+// StorageEverywhere. It is timegraph's type: the policy decides which
+// storage edges of the time-expanded graph a file's paths may use.
+type StoragePolicy = timegraph.StoragePolicy
 
-// Storage policies.
+// Storage policies (see timegraph.StoragePolicy).
 const (
-	// StorageEverywhere allows holdovers at every datacenter (the paper's
-	// Postcard model).
-	StorageEverywhere StoragePolicy = iota
-	// StorageEndpointsOnly allows holdovers only at a file's own source and
-	// destination, disabling intermediate store-and-forward. Used by the
-	// ablation benchmarks to isolate the value of relay storage.
-	StorageEndpointsOnly
-	// StorageNone forbids holdovers entirely: data must traverse a link
-	// every slot it is in flight.
-	StorageNone
+	StorageEverywhere    = timegraph.StorageEverywhere
+	StorageEndpointsOnly = timegraph.StorageEndpointsOnly
+	StorageNone          = timegraph.StorageNone
 )
-
-// permits reports whether the policy lets file f use edge e. Transfer edges
-// are always permitted; the policy decides only holdovers.
-func (p StoragePolicy) permits(f netmodel.File, e *timegraph.Edge) bool {
-	if !e.Storage {
-		return true
-	}
-	switch p {
-	case StorageEndpointsOnly:
-		return e.From == f.Src || e.From == f.Dst
-	case StorageNone:
-		return false
-	}
-	return true
-}
 
 // Config tunes the optimizer. The zero value selects defaults.
 type Config struct {
@@ -284,7 +263,7 @@ type instance struct {
 func (in *instance) universe(k int, fn func(e timegraph.Edge, allowed bool)) error {
 	f, r := in.files[k], in.reach[k]
 	if !in.tg.WindowEdges(f, func(e timegraph.Edge) {
-		if in.conf.Storage.permits(f, &e) {
+		if in.conf.Storage.Permits(f, &e) {
 			fn(e, r.EdgeAllowed(f, e))
 		}
 	}) {
@@ -454,7 +433,7 @@ func newBuilder(recycle *builder, tg *timegraph.Graph, ledger *netmodel.Ledger, 
 }
 
 // intSlice returns s resized to n, reusing its backing array when possible.
-func intSlice[T lp.VarID | lp.ConID | int | bool | float64](s []T, n int) []T {
+func intSlice[T lp.VarID | lp.ConID | int | int32 | bool | float64](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}

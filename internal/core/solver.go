@@ -365,7 +365,7 @@ func seedRetainedPaths(pb *pathBuilder, retain map[netmodel.Link][][]netmodel.DC
 				from, to := nodes[i], nodes[i+1]
 				slot := f.Release + i
 				e, found := pb.tg.EdgeAt(from, to, slot)
-				if !found || !pb.conf.Storage.permits(f, &e) || !r.EdgeAllowed(f, e) {
+				if !found || !pb.conf.Storage.Permits(f, &e) || !r.EdgeAllowed(f, e) {
 					usable = false
 					break
 				}

@@ -112,6 +112,7 @@ func (s *simplex) tryWarmStart(b *Basis) bool {
 	if b == nil || b.NumVars != cf.n || b.NumRows != cf.m || len(b.Status) != total {
 		return false
 	}
+	s.factored = false
 	nBasic := 0
 	for j := 0; j < total; j++ {
 		switch b.Status[j] {

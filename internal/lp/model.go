@@ -287,6 +287,10 @@ type Work struct {
 	// reduced-cost vector — the periodic honest recompute that bounds the
 	// drift of the incremental per-pivot updates.
 	DualRecomputes int `metric:"dual_recomputes_total,Full dual recomputations."`
+	// Refactorizations counts LU factorizations of the basis actually run.
+	// A refactorization requested when nothing has changed since the last
+	// one (no pivot, no bound flip, no repair) is skipped and not counted.
+	Refactorizations int `metric:"refactorizations_total,Basis LU factorizations run."`
 	// ColGenRounds, ColGenColumns, ColGenRows and ColGenUniverse are filled
 	// by SolvePriced: the number of restricted-master solves performed, the
 	// number of delayed columns materialized into the model, the number of

@@ -167,6 +167,11 @@ type simplex struct {
 	dPhase1    bool // the maintained d vector is for phase-1 costs
 	devexStale bool // reference framework needs a reset before next pricing
 
+	// factored reports that the LU, the (empty) eta file and xB are exactly
+	// what refactorize would rebuild: the last factorization made no
+	// repairs, and no pivot, bound flip or basis install has happened since.
+	factored bool
+
 	// phase-1 incremental cost-change scratch.
 	deltaIdx []int
 	deltaVal []float64
@@ -297,12 +302,20 @@ func (s *simplex) nbValue(j int) float64 {
 // any singularity repairs to the basis bookkeeping, clears the eta file,
 // recomputes basic variable values from scratch, and invalidates the
 // maintained reduced costs (which are defined against the dropped etas and
-// possibly-repaired basis).
+// possibly-repaired basis). When nothing has changed since the last
+// factorization it would rebuild the same bits, so it only invalidates the
+// reduced costs: callers that refactorize to confirm a verdict on honest
+// values recompute those either way.
 func (s *simplex) refactorize() error {
+	s.dValid = false
+	if s.factored {
+		return nil
+	}
 	lu, err := sparse.FactorizeBasis(s.lu, s.cf.a, s.basis, pivotTol*1e-2)
 	if err != nil {
 		return fmt.Errorf("lp: basis factorization: %w", err)
 	}
+	s.work.Refactorizations++
 	for _, rep := range lu.Repairs() {
 		evicted := s.basis[rep.Pos]
 		logical := s.cf.n + rep.Row
@@ -326,11 +339,11 @@ func (s *simplex) refactorize() error {
 	s.etas = s.etas[:0]
 	s.etaIdx = s.etaIdx[:0]
 	s.etaVal = s.etaVal[:0]
-	s.dValid = false
 	if len(lu.Repairs()) > 0 {
 		s.devexStale = true // repairs changed the basis discontinuously
 	}
 	s.computeXB()
+	s.factored = len(lu.Repairs()) == 0
 	return nil
 }
 
@@ -1125,6 +1138,7 @@ func (s *simplex) ratioTestHarris(q int, dir float64) ratioResult {
 // pivot applies the step chosen by the ratio test, recording the eta in the
 // pooled store. Only the FTRAN pattern is touched.
 func (s *simplex) pivot(q int, dir float64, res ratioResult) error {
+	s.factored = false
 	t := res.t
 	enterVal := s.nbValue(q) // capture before any status change
 	// Move all basic variables along the direction.
@@ -1263,6 +1277,7 @@ func (m *Model) Solve(opts *Options) (*Solution, error) {
 // coldStart installs the all-logical basis; structurals rest at a finite
 // bound.
 func (s *simplex) coldStart() error {
+	s.factored = false // a failed warm start may have factorized its basis
 	cf := &s.cf
 	for j := 0; j < cf.n; j++ {
 		switch {

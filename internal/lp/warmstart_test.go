@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -301,5 +302,45 @@ func TestBasisClone(t *testing.T) {
 	}
 	if (*Basis)(nil).Clone() != nil {
 		t.Error("nil Clone should be nil")
+	}
+}
+
+// TestWarmStartOwnBasisFactorizesOnce re-solves models warm from their own
+// optimal basis. The warm start factorizes that basis once; phase 1's exit
+// check and phase 2's confirmation of the optimum then find nothing changed
+// since, so neither refactorizes again, and the solve pivots nowhere. The
+// network LPs have integral data, so the warm values equal the cold ones bit
+// for bit, except that a zero dual may come back with the other sign: the
+// warm start orders the basis differently, and the transposed solve sums
+// its zeros in that order.
+func TestWarmStartOwnBasisFactorizesOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	equal := func(a, b float64) bool { return a == b }
+	for trial := 0; trial < 20; trial++ {
+		m := flowModel(rng, 8+trial)
+		cold, err := m.Solve(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Status != Optimal {
+			t.Fatalf("trial %d: cold status %v", trial, cold.Status)
+		}
+		warm, err := m.Solve(&Options{InitialBasis: cold.Basis})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !warm.WarmStarted || warm.Status != Optimal {
+			t.Fatalf("trial %d: warm started %v, status %v", trial, warm.WarmStarted, warm.Status)
+		}
+		if warm.Refactorizations != 1 || warm.Iterations != 0 {
+			t.Errorf("trial %d: %d factorizations and %d iterations, want 1 and 0",
+				trial, warm.Refactorizations, warm.Iterations)
+		}
+		if !bits(warm.Objective, cold.Objective) || !slices.EqualFunc(warm.X, cold.X, bits) ||
+			!slices.EqualFunc(warm.Dual, cold.Dual, equal) {
+			t.Errorf("trial %d: warm objective %v, X %v, duals %v; cold %v, %v, %v",
+				trial, warm.Objective, warm.X, warm.Dual, cold.Objective, cold.X, cold.Dual)
+		}
 	}
 }
