@@ -138,7 +138,7 @@ func run() (err error) {
 				100*float64(lpRes.ColGenColumns)/float64(lpRes.ColGenUniverse))
 		}
 		if lpRes.ColGenRows > 0 || lpRes.PathFallbacks > 0 {
-			fmt.Printf("lp path pricing: %d lazy rows, %d arc fallbacks\n",
+			fmt.Printf("lp path pricing: %d lazy rows, %d settled by the volume master\n",
 				lpRes.ColGenRows, lpRes.PathFallbacks)
 		}
 	}

@@ -119,9 +119,6 @@ func (c *Controller) BatchPlan() []schedule.Action {
 	return c.plan.Actions()
 }
 
-// BatchCost reports the open batch's provisional cost-per-slot delta.
-func (c *Controller) BatchCost() float64 { return c.batchCost }
-
 // Admit answers the fast-path admission decision for one arriving file at
 // slot now: it searches for the cheapest feasible single-path placement
 // under the unreserved capacities (headroom-only under q < 100) and, when

@@ -71,13 +71,8 @@ func MaxVolume(ledger *netmodel.Ledger, files []netmodel.File, t int, budget *fl
 		// Postcard's plan for the files at their delivered volumes, solved
 		// on the same master, seeded with the columns that delivered them.
 		// Its cost is at most this plan's, so the budget still holds.
-		cols, arena := slices.Clone(pb.cols), slices.Clone(pb.arena)
-		pb = newPathBuilder(pb, pb.tg, ledger, sized, pb.reach, pb.conf)
-		if sol, err = pb.solveSeeded(cols, arena); err != nil {
+		if pb, sol, err = pb.costMaster(pb, sized); err != nil {
 			return nil, nil, err
-		}
-		if sol.Status != lp.Optimal || pb.artificialResidue(sol) {
-			return nil, nil, fmt.Errorf("core: Postcard master status %v on the delivered volumes", sol.Status)
 		}
 		telemetry.Add(&res.Work, sol.Work)
 	}
@@ -91,6 +86,67 @@ func MaxVolume(ledger *netmodel.Ledger, files []netmodel.File, t int, budget *fl
 		return nil, nil, err
 	}
 	return res, delivered, nil
+}
+
+// costMaster rebuilds pb's master as the cost master of its column family
+// (Postcard's data, flow columns when pb's are) for files, which are
+// parallel to pb.files, seeded with pb's columns, and solves it. It builds
+// on recycle's allocations, or fresh ones when recycle is nil; recycle may
+// be pb. The columns were found on a volume master that delivered every
+// file, so the solve must end Optimal with no positive artificial.
+func (pb *pathBuilder) costMaster(recycle *pathBuilder, files []netmodel.File) (*pathBuilder, *lp.Solution, error) {
+	cols, arena, flow := slices.Clone(pb.cols), slices.Clone(pb.arena), pb.flow
+	cm := newPathBuilder(recycle, pb.tg, pb.ledger, files, pb.reach, pb.conf)
+	cm.flow = flow
+	sol, err := cm.solveSeeded(cols, arena)
+	if err != nil {
+		return nil, nil, err
+	}
+	if sol.Status != lp.Optimal || cm.artificialResidue(sol) {
+		return nil, nil, fmt.Errorf("core: cost master status %v with positive artificials on delivering columns", sol.Status)
+	}
+	return cm, sol, nil
+}
+
+// settle gives the verdict on pb's batch when its Postcard master ended
+// non-Optimal or with a positive artificial, by FlowRates' rule. The volume
+// master (artificials priced 1, X at cost 0, residual capacities, no budget
+// row), seeded with the columns pb found, maximizes the volume delivered, so
+// a positive artificial there is the exact Infeasible verdict. Otherwise
+// Postcard's master is rebuilt with the volume master's columns and must
+// deliver every file. Both masters are built fresh, which leaves pb's model
+// and keys as they were. first is pb's result: the verdict counts its work
+// and universe, with PathFallbacks 1.
+func (pb *pathBuilder) settle(first *Result) (*Result, error) {
+	vm := newPathBuilder(nil, pb.tg, pb.ledger, pb.files, pb.reach, pb.conf)
+	vm.artPrice, vm.xCost = 1, 0
+	sol, err := vm.solveSeeded(pb.cols, pb.arena)
+	if err != nil {
+		return nil, err
+	}
+	if sol.Status != lp.Optimal {
+		// The volume master is feasible and bounded by construction.
+		return nil, fmt.Errorf("core: volume master status %v", sol.Status)
+	}
+	c := Counters{Work: first.Work, VarUniverse: first.VarUniverse, PrunedVars: first.PrunedVars, PathFallbacks: 1}
+	telemetry.Add(&c.Work, sol.Work)
+	m, p := vm, planner(nil)
+	if !vm.artificialResidue(sol) {
+		if m, sol, err = vm.costMaster(nil, pb.files); err != nil {
+			return nil, err
+		}
+		telemetry.Add(&c.Work, sol.Work)
+		p = m
+	}
+	res, err := m.result(sol, m.model, c, p)
+	if err != nil {
+		return nil, err
+	}
+	if p == nil {
+		res.Status = lp.Infeasible
+	}
+	res.WarmStarted = false
+	return res, nil
 }
 
 // pathMaster checks the batch and returns a path builder for it on the
@@ -165,14 +221,8 @@ func FlowRates(ledger *netmodel.Ledger, files []netmodel.File, t int, concurrent
 	if pb.artificialResidue(sol) {
 		return &FlowPlan{Status: lp.Infeasible}, nil
 	}
-	cols, arena := slices.Clone(pb.cols), slices.Clone(pb.arena)
-	pb = newPathBuilder(pb, pb.tg, ledger, files, pb.reach, pb.conf)
-	pb.flow = true
-	if sol, err = pb.solveSeeded(cols, arena); err != nil {
+	if pb, sol, err = pb.costMaster(pb, files); err != nil {
 		return nil, err
-	}
-	if sol.Status != lp.Optimal || pb.artificialResidue(sol) {
-		return nil, fmt.Errorf("core: flow master status %v with positive artificials on a feasible batch", sol.Status)
 	}
 	return &FlowPlan{Status: lp.Optimal, Rates: pb.flowRates(sol), CostPerSlot: pb.chargedCost(sol)}, nil
 }

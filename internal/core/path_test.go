@@ -10,6 +10,7 @@ import (
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/telemetry"
+	"github.com/interdc/postcard/internal/timegraph"
 )
 
 // pathTestInstance builds a small ring+chords instance shared by the
@@ -93,7 +94,7 @@ func TestPathPricingMatchesArc(t *testing.T) {
 		t.Error("path master materialized no lazy rows")
 	}
 	if pathRes.PathFallbacks != 0 {
-		t.Errorf("unexpected arc fallback on a feasible instance")
+		t.Errorf("a feasible instance was settled by the volume master")
 	}
 	if pathRes.Schedule == nil {
 		t.Fatal("optimal path result carries no schedule")
@@ -150,38 +151,71 @@ func TestPathPricingWorkerCounts(t *testing.T) {
 }
 
 // TestPathPricingInfeasibleFallback starves capacity so the instance is
-// infeasible: the path master's artificials stay positive and the verdict
-// must come from the arc fallback, flagged in PathFallbacks and agreeing
-// with a direct arc solve.
+// infeasible: the Postcard master's artificials stay positive and the
+// volume master settles the verdict. It must be the arc oracle's
+// Infeasible, flagged in PathFallbacks, with the first master's universe
+// accounting and the work of both masters in every counter.
 func TestPathPricingInfeasibleFallback(t *testing.T) {
-	ledger, _ := pathTestInstance(t, 4, 5, 3)
+	ledger, nw := pathTestInstance(t, 4, 5, 3)
 	files := []netmodel.File{
 		{ID: 0, Src: 0, Dst: 2, Size: 50, Release: 0, Deadline: 2},
 	}
 	pathRes, arcRes := comparePathToArc(t, ledger, files, 0, Config{})
 	if arcRes.Status != lp.Infeasible {
-		t.Fatalf("instance unexpectedly feasible (status %v); fallback not exercised", arcRes.Status)
+		t.Fatalf("instance unexpectedly feasible (status %v); the verdict is not exercised", arcRes.Status)
 	}
 	if pathRes.PathFallbacks != 1 {
 		t.Errorf("expected PathFallbacks=1, got %d", pathRes.PathFallbacks)
 	}
-	// The fallback reports the failed path attempt's LP work on top of the
-	// arc solve's, in every counter: no counter of the attempt is dropped.
+	// The two masters the solve runs, built as a fresh Solver and settle
+	// build them.
+	tg, err := timegraph.Build(nw, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := Config{Pricing: PricingPath}
+	reach, err := routability(tg, files, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := newPathBuilder(nil, tg, ledger, files, reach, conf)
+	if err := first.build(); err != nil {
+		t.Fatal(err)
+	}
+	firstRes, _, unsettled, err := first.solve(&lp.Options{InitialBasis: mappedBasis(first.colKeys, first.rowKeys, nil, nil, first.crashNewFiles)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !unsettled {
+		t.Fatal("the Postcard master delivered the starved file")
+	}
+	vm := newPathBuilder(nil, tg, ledger, files, reach, conf)
+	vm.artPrice, vm.xCost = 1, 0
+	volSol, err := vm.solveSeeded(first.cols, first.arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vm.artificialResidue(volSol) || volSol.Iterations == 0 {
+		t.Fatalf("volume master: positive artificial %v after %d iterations, want true after some",
+			vm.artificialResidue(volSol), volSol.Iterations)
+	}
+	want := firstRes.Work
+	telemetry.Add(&want, volSol.Work)
 	var names []string
-	var fallback, direct []float64
+	var got, sum []float64
 	telemetry.Walk(&pathRes.Work, func(f reflect.StructField, x float64) {
 		names = append(names, f.Name)
-		fallback = append(fallback, x)
+		got = append(got, x)
 	})
-	telemetry.Walk(&arcRes.Work, func(_ reflect.StructField, x float64) { direct = append(direct, x) })
+	telemetry.Walk(&want, func(_ reflect.StructField, x float64) { sum = append(sum, x) })
 	for i, name := range names {
-		if fallback[i] < direct[i] {
-			t.Errorf("fallback %s = %v, below the direct arc solve's %v", name, fallback[i], direct[i])
+		if got[i] != sum[i] {
+			t.Errorf("%s = %v, want %v, the two masters' sum", name, got[i], sum[i])
 		}
 	}
-	if pathRes.DevexResets <= arcRes.DevexResets || pathRes.SparseSolves <= arcRes.SparseSolves {
-		t.Errorf("fallback dropped the path attempt's basis work: devex resets %d vs %d, sparse solves %d vs %d",
-			pathRes.DevexResets, arcRes.DevexResets, pathRes.SparseSolves, arcRes.SparseSolves)
+	if pathRes.VarUniverse != first.varUniverse || pathRes.PrunedVars != first.prunedVars {
+		t.Errorf("universe %d, pruned %d; the first master's are %d, %d",
+			pathRes.VarUniverse, pathRes.PrunedVars, first.varUniverse, first.prunedVars)
 	}
 }
 

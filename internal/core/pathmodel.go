@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/interdc/postcard/internal/graph"
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/schedule"
@@ -41,11 +40,11 @@ const (
 // columns that keep the restricted path master feasible before enough
 // paths have been generated. Any value dominating the true per-GB marginal
 // delivery cost (bounded by link prices times path length, orders of
-// magnitude smaller) yields the exact optimum; if the instance is genuinely
-// infeasible the artificials stay positive and the caller falls back to an
-// arc-model solve for the authoritative verdict, so exactness never
-// depends on the constant. Sec. VI's master prices them at 1 instead (see
-// MaxVolume), and so does the flow family's feasibility step (FlowRates).
+// magnitude smaller) yields the exact optimum; if the artificials stay
+// positive the verdict comes from the volume master, which prices them at 1
+// (pathBuilder.settle), so exactness never depends on the constant. Sec.
+// VI's master prices them at 1 too (see MaxVolume), and so does the flow
+// family's feasibility step (FlowRates).
 const pathBigM = 1e9
 
 // The shared entries of pathBuilder's weight table: an edge without rows
@@ -448,11 +447,11 @@ func (pb *pathBuilder) priceFile(k int, y []float64, finder *timegraph.PathFinde
 	pb.resEdges[k] = buf
 }
 
-// priceFlow is priceFile for flow columns: a shortest path on the static
+// priceFlow is priceFile for flow columns: a cheapest path on the static
 // overlay from the file's source to its destination, where link l weighs
 // Epsilon plus the sum of the master's weights of l's edges in the file's
 // window (the rows the column would enter), expanded into those edges slot
-// by slot.
+// by slot. A link's id is its edge's index in the graph's first slot.
 func (pb *pathBuilder) priceFlow(k int) {
 	f := pb.files[k]
 	w := make([]float64, len(pb.linkPrice))
@@ -461,24 +460,21 @@ func (pb *pathBuilder) priceFlow(k int) {
 			w[pb.linkOf[e.Index]] += pb.wRaw[pb.wRef[e.Index]]
 		}
 	})
-	g := graph.New(pb.tg.Network().NumDCs())
-	var ids []int // graph edge -> link id; blocked links stay out
-	for id := range w {
-		if l := pb.tg.Edge(id); !math.IsInf(w[id], 1) {
-			// Both ends are datacenters of the network, so AddEdge cannot fail.
-			_, _ = g.AddEdge(int(l.From), int(l.To), 1, netmodel.Epsilon+max(w[id], 0))
-			ids = append(ids, id)
+	start := pb.tg.Start()
+	path, cost, ok := pb.tg.Network().CheapestPath(f.Src, f.Dst, func(l netmodel.Link) float64 {
+		e, _ := pb.tg.EdgeAt(l.From, l.To, start)
+		if math.IsInf(w[e.Index], 1) {
+			return w[e.Index] // blocked
 		}
-	}
-	path, cost, ok := g.ShortestPath(int(f.Src), int(f.Dst), 0)
+		return netmodel.Epsilon + max(w[e.Index], 0)
+	})
 	if pb.resOK[k], pb.resW[k] = ok, cost; !ok {
 		return
 	}
 	first, last, _ := pb.tg.FileWindow(f)
 	buf := pb.resEdges[k][:0]
 	for s := first; s <= last; s++ {
-		for _, id := range path {
-			l := pb.tg.Edge(ids[id])
+		for _, l := range path {
 			e, _ := pb.tg.EdgeAt(l.From, l.To, s)
 			buf = append(buf, int32(e.Index))
 		}
@@ -770,11 +766,12 @@ func (pb *pathBuilder) flowRates(sol *lp.Solution) [][]float64 {
 	return rates
 }
 
-// artificialResidue reports the largest per-file artificial value relative
-// to its feasibility scale — zero (to LP tolerance) certifies that the
-// generated paths deliver every file in full and the master optimum is the
-// true optimum; positive means the instance could not be served and the
-// caller must fall back to the arc model for the authoritative verdict.
+// artificialResidue reports whether some file's artificial is positive
+// relative to its feasibility scale. False (to LP tolerance) certifies that
+// the generated paths deliver every file in full and the master optimum is
+// the true optimum. True on a master whose artificials are priced 1 is the
+// Infeasible verdict; on a big-M master it is settled by the volume master
+// (pathBuilder.settle).
 func (pb *pathBuilder) artificialResidue(sol *lp.Solution) bool {
 	for k, f := range pb.files {
 		if sol.Value(pb.artVar[k]) > 1e-7*(1+f.Size) {
@@ -856,20 +853,20 @@ func (pb *pathBuilder) chargedCost(sol *lp.Solution) float64 {
 }
 
 // solve runs the path master by column generation and converts the outcome
-// into a Result. fallback reports that the master terminated with positive
-// artificials (the generated paths cannot serve every file) — the caller
-// must obtain the authoritative verdict from an arc-model solve.
-func (pb *pathBuilder) solve(opts *lp.Options) (res *Result, sol *lp.Solution, fallback bool, err error) {
+// into a Result. unsettled reports that the master terminated with positive
+// artificials (the generated paths cannot serve every file); the caller
+// settles the verdict with pathBuilder.settle.
+func (pb *pathBuilder) solve(opts *lp.Options) (res *Result, sol *lp.Solution, unsettled bool, err error) {
 	sol, err = lp.SolvePriced(pb.model, pb, opts)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("core: solving Postcard path master: %w", err)
 	}
 	// A non-optimal outcome is structurally unreachable (the master is
 	// feasible by construction), but like positive artificials it is a
-	// restricted verdict the arc model must confirm.
-	fallback = sol.Status != lp.Optimal || pb.artificialResidue(sol)
+	// restricted verdict the volume master settles.
+	unsettled = sol.Status != lp.Optimal || pb.artificialResidue(sol)
 	var p planner
-	if !fallback {
+	if !unsettled {
 		p = pb
 	}
 	res, err = pb.result(sol, pb.model, Counters{
@@ -880,7 +877,7 @@ func (pb *pathBuilder) solve(opts *lp.Options) (res *Result, sol *lp.Solution, f
 	if err != nil {
 		return nil, nil, false, err
 	}
-	return res, sol, fallback, nil
+	return res, sol, unsettled, nil
 }
 
 // crashNewFiles upgrades a mapped basis for files the previous model did

@@ -19,7 +19,6 @@ import (
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/schedule"
-	"github.com/interdc/postcard/internal/telemetry"
 	"github.com/interdc/postcard/internal/timegraph"
 )
 
@@ -126,10 +125,10 @@ type Counters struct {
 	// for stateless solves).
 	PathRecycled int `metric:"path_recycled_total,Path columns recycled from earlier slots' optimal bases."`
 	// PathFallbacks counts path-master solves that terminated with positive
-	// artificials (the instance could not be served by generated paths), so
-	// the reported result came from the authoritative arc-model fallback
-	// solve; always zero under PricingArc.
-	PathFallbacks int `metric:"path_fallbacks_total,Path-master solves that fell back to the arc model."`
+	// artificials (the generated paths could not serve every file), so the
+	// reported result was settled by the volume master; always zero under
+	// PricingArc.
+	PathFallbacks int `metric:"path_fallbacks_total,Path-master solves settled by the volume master."`
 }
 
 // UnroutableError reports files whose destination is structurally
@@ -202,24 +201,6 @@ func routability(tg *timegraph.Graph, files []netmodel.File, conf Config) ([]tim
 		}
 	}
 	return reach, nil
-}
-
-// solveArcFallback obtains the authoritative verdict from the arc model
-// after a path master terminated with positive artificials, folding all of
-// the path attempt's LP work into the returned counters.
-func solveArcFallback(tg *timegraph.Graph, ledger *netmodel.Ledger, files []netmodel.File, reach []timegraph.Reachability, conf Config, pathRes *Result) (*Result, error) {
-	b := newBuilder(nil, tg, ledger, files, reach, conf)
-	if err := b.build(); err != nil {
-		return nil, err
-	}
-	res, _, err := b.solve(&lp.Options{InitialBasis: mappedBasis(b.colKeys, b.rowKeys, nil, nil, b.crashNewFiles)})
-	if err != nil {
-		return nil, err
-	}
-	res.WarmStarted = false
-	res.PathFallbacks = 1
-	telemetry.Add(&res.Work, pathRes.Work)
-	return res, nil
 }
 
 // solve runs the assembled LP by column generation with the given solver

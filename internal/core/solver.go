@@ -28,7 +28,7 @@ type SolveStats struct {
 	// Counters totals the per-solve work counters of every Result.
 	Counters
 	// PathSolves counts solves that ran the Dantzig–Wolfe path master
-	// (Counters.PathFallbacks the subset that deferred to the arc model).
+	// (Counters.PathFallbacks the subset settled by the volume master).
 	PathSolves int `metric:"path_solves_total,Solves served by the Dantzig-Wolfe path master."`
 	// AdmissionStats stays zero for pure LP schedulers; the admission fast
 	// tier's simulation adapter folds its controller's counters in here so
@@ -113,8 +113,8 @@ type Solver struct {
 // solveState is the resting state of one solve: its final basis with the
 // structural keys of the basis's columns and rows, and the IDs of the files
 // it solved. paths holds, per (src, dst) pair, the node sequences of the
-// path columns active in the last path master's optimum (a solve that fell
-// back to the arc model keeps the previous ones). The next path master
+// path columns active in the last path master's optimum (a solve settled by
+// the volume master keeps the previous ones). The next path master
 // re-materializes them (shifted to each new file's release layer) before
 // its first pricing round, so the restricted master starts from proven
 // routes instead of artificials alone.
@@ -219,8 +219,10 @@ func (s *Solver) Solve(ledger *netmodel.Ledger, files []netmodel.File, t int) (*
 // master, warm-started from the previous slot's basis through the same
 // structural-key translation the arc branch uses (demand rows and path
 // columns carry file identity and a path hash, so same-slot shedding
-// retries reuse the surviving files' resting states wholesale), with the
-// arc-model fallback when the master cannot serve every file.
+// retries reuse the surviving files' resting states wholesale). A master
+// that cannot serve every file is settled by the volume master
+// (pathBuilder.settle); the cache keeps this first master's basis and keys
+// and the previous slot's paths either way.
 func (s *Solver) solvePath(tg *timegraph.Graph, ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result, error) {
 	reach, err := routability(tg, files, s.conf)
 	if err != nil {
@@ -239,14 +241,13 @@ func (s *Solver) solvePath(tg *timegraph.Graph, ledger *netmodel.Ledger, files [
 		return nil, err
 	}
 	basis, warm := s.startBasis(files, pb.colKeys, pb.rowKeys, pb.crashNewFiles)
-	res, sol, fallback, err := pb.solve(&lp.Options{InitialBasis: basis})
+	res, sol, unsettled, err := pb.solve(&lp.Options{InitialBasis: basis})
 	if err != nil {
 		return nil, err
 	}
 	res.WarmStarted = res.WarmStarted && warm
-	if fallback {
-		res, err = solveArcFallback(tg, ledger, files, reach, s.conf, res)
-		if err != nil {
+	if unsettled {
+		if res, err = pb.settle(res); err != nil {
 			return nil, err
 		}
 	} else {

@@ -28,7 +28,6 @@ import (
 	"sort"
 
 	"github.com/interdc/postcard/internal/core"
-	"github.com/interdc/postcard/internal/graph"
 	"github.com/interdc/postcard/internal/lp"
 	"github.com/interdc/postcard/internal/netmodel"
 	"github.com/interdc/postcard/internal/schedule"
@@ -228,36 +227,13 @@ func ValidateRates(ledger *netmodel.Ledger, files []netmodel.File, rates map[int
 	return nil
 }
 
-// graphForSlotWindow builds a graph.Graph whose edge capacities are the
-// minimum residual over the slot window [from, to), minus extra usage.
-func graphForSlotWindow(ledger *netmodel.Ledger, from, to int, extra map[netmodel.Link]float64) (*graph.Graph, map[int]netmodel.Link, error) {
-	nw := ledger.Network()
-	g := graph.New(nw.NumDCs())
-	edgeLinks := make(map[int]netmodel.Link)
-	var buildErr error
-	nw.Links(func(l netmodel.Link, price, _ float64) {
-		if buildErr != nil {
-			return
-		}
-		avail := math.Inf(1)
-		for s := from; s < to; s++ {
-			if r := ledger.Residual(l.From, l.To, s); r < avail {
-				avail = r
-			}
-		}
-		avail -= extra[l]
-		if avail < 0 {
-			avail = 0
-		}
-		id, err := g.AddEdge(int(l.From), int(l.To), avail, price)
-		if err != nil {
-			buildErr = err
-			return
-		}
-		edgeLinks[id] = l
-	})
-	return g, edgeLinks, buildErr
-}
+// A greedy path uses only links with at least minSpare − spareTol GB/slot
+// to spare. Both are typed, so their difference rounds once, as a run-time
+// subtraction would.
+const (
+	minSpare float64 = 1e-6
+	spareTol float64 = 1e-9
+)
 
 // SolveGreedy routes each file along successive cheapest available paths
 // (by price, ignoring charge history), splitting across paths when the
@@ -294,29 +270,35 @@ func SolveGreedy(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result
 	for _, f := range order {
 		remaining := f.DesiredRate()
 		perLink := make(map[netmodel.Link]float64)
-		for remaining > 1e-9 {
-			extra := make(map[netmodel.Link]float64, len(assigned))
-			for l, slots := range assigned {
-				maxUse := 0.0
-				for s := f.Release; s < f.Release+f.Deadline; s++ {
-					if u := slots[s]; u > maxUse {
-						maxUse = u
-					}
+		// spare is what link l can still carry at a constant rate through
+		// f's window: its least residual there less the largest rate this
+		// solve has placed on it in the window, at least 0.
+		spare := func(l netmodel.Link) float64 {
+			avail, used := math.Inf(1), 0.0
+			for s := f.Release; s < f.Release+f.Deadline; s++ {
+				if r := ledger.Residual(l.From, l.To, s); r < avail {
+					avail = r
 				}
-				extra[l] = maxUse
+				if u := assigned[l][s]; u > used {
+					used = u
+				}
 			}
-			g, edgeLinks, err := graphForSlotWindow(ledger, f.Release, f.Release+f.Deadline, extra)
-			if err != nil {
-				return nil, err
-			}
-			path, _, ok := g.ShortestPath(int(f.Src), int(f.Dst), 1e-6)
+			return max(avail-used, 0)
+		}
+		for remaining > 1e-9 {
+			path, _, ok := nw.CheapestPath(f.Src, f.Dst, func(l netmodel.Link) float64 {
+				if spare(l) < minSpare-spareTol {
+					return math.Inf(1)
+				}
+				return nw.Price(l.From, l.To)
+			})
 			if !ok {
 				unrouted = append(unrouted, f.ID)
 				break
 			}
 			bottleneck := remaining
-			for _, id := range path {
-				if c := g.EdgeInfo(id).Cap; c < bottleneck {
+			for _, l := range path {
+				if c := spare(l); c < bottleneck {
 					bottleneck = c
 				}
 			}
@@ -324,8 +306,7 @@ func SolveGreedy(ledger *netmodel.Ledger, files []netmodel.File, t int) (*Result
 				unrouted = append(unrouted, f.ID)
 				break
 			}
-			for _, id := range path {
-				l := edgeLinks[id]
+			for _, l := range path {
 				perLink[l] += bottleneck
 				addUse(l, f, bottleneck)
 			}

@@ -1,4 +1,4 @@
-package graph
+package lp_test
 
 import (
 	"math"
@@ -12,7 +12,7 @@ import (
 // variables are edge flows, conservation at every node, demand routed from
 // s to t. ok is false when the instance is structurally infeasible (an
 // isolated node with nonzero demand).
-func minCostFlowModel(t *testing.T, g *Graph, s, sink int, want float64) (m *lp.Model, ok bool) {
+func minCostFlowModel(t *testing.T, g *flowGraph, s, sink int, want float64) (m *lp.Model, ok bool) {
 	t.Helper()
 	m = lp.NewModel()
 	vars := make([]lp.VarID, g.NumEdges())
@@ -56,7 +56,7 @@ func minCostFlowModel(t *testing.T, g *Graph, s, sink int, want float64) (m *lp.
 
 // minCostFlowLP solves the LP formulation, returning the optimal cost, or
 // ok=false when the LP is infeasible (demand exceeds max flow).
-func minCostFlowLP(t *testing.T, g *Graph, s, sink int, want float64) (float64, bool) {
+func minCostFlowLP(t *testing.T, g *flowGraph, s, sink int, want float64) (float64, bool) {
 	t.Helper()
 	m, ok := minCostFlowModel(t, g, s, sink, want)
 	if !ok {
@@ -83,7 +83,7 @@ func TestMinCostFlowLPPricingAgreement(t *testing.T) {
 		g1 := randomFlowNetwork(rng, n)
 		// MaxFlow and MinCostFlow mutate residual state; give each its own
 		// copy and build the LP from a pristine one.
-		g2, g3 := New(n), New(n)
+		g2, g3 := newFlowGraph(n), newFlowGraph(n)
 		for id := 0; id < g1.NumEdges(); id++ {
 			e := g1.EdgeInfo(id)
 			if _, err := g2.AddEdge(e.From, e.To, e.Cap, e.Cost); err != nil {
@@ -136,7 +136,7 @@ func TestMinCostFlowMatchesLP(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 3 + rng.Intn(5)
 		g1 := randomFlowNetwork(rng, n)
-		g2 := New(n)
+		g2 := newFlowGraph(n)
 		for id := 0; id < g1.NumEdges(); id++ {
 			e := g1.EdgeInfo(id)
 			if _, err := g2.AddEdge(e.From, e.To, e.Cap, e.Cost); err != nil {

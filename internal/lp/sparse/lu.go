@@ -68,12 +68,6 @@ func (f *LU) N() int { return f.n }
 // owned by the LU and overwritten by its next factorization.
 func (f *LU) Repairs() []Repair { return f.repairs }
 
-// LNNZ reports the number of stored off-diagonal entries of L.
-func (f *LU) LNNZ() int { return len(f.lRow) }
-
-// UNNZ reports the number of stored entries of U including the diagonal.
-func (f *LU) UNNZ() int { return len(f.uRow) + f.n }
-
 // Factorize computes a sparse LU factorization of the n x n matrix whose
 // k-th column is returned by column (as parallel row-index and value
 // slices, which Factorize does not retain). Partial pivoting selects the

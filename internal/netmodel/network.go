@@ -10,8 +10,10 @@
 package netmodel
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // DC identifies a datacenter by index.
@@ -154,6 +156,74 @@ func (nw *Network) Hops(d DC, toward bool) (dist []int, prev []DC) {
 		}
 	}
 	return dist, prev
+}
+
+// CheapestPath runs Dijkstra's search from src to dst over the links, where
+// link l costs weight(l) and a weight of +Inf excludes it; weights must be
+// nonnegative. It returns the path's links in order and its cost, or ok =
+// false when dst cannot be reached (src = dst is the empty path at cost 0).
+// Out-links are scanned in ascending head order and a label improves only
+// when it drops by more than 1e-9, so among paths of (nearly) equal cost the
+// first one found is kept and every route is deterministic.
+func (nw *Network) CheapestPath(src, dst DC, weight func(Link) float64) (path []Link, cost float64, ok bool) {
+	const eps = 1e-9
+	dist := make([]float64, nw.n)
+	prev := make([]DC, nw.n)
+	for i := range dist {
+		dist[i], prev[i] = math.Inf(1), -1
+	}
+	dist[src] = 0
+	pq := &pathHeap{}
+	heap.Push(pq, pathLabel{dc: src, dist: 0})
+	for pq.Len() > 0 {
+		label := heap.Pop(pq).(pathLabel)
+		v := label.dc
+		if label.dist > dist[v]+eps {
+			continue // stale label
+		}
+		for u := DC(0); int(u) < nw.n; u++ {
+			if !nw.HasLink(v, u) {
+				continue
+			}
+			w := weight(Link{From: v, To: u})
+			if math.IsInf(w, 1) {
+				continue
+			}
+			if nd := dist[v] + w; nd < dist[u]-eps {
+				dist[u], prev[u] = nd, v
+				heap.Push(pq, pathLabel{dc: u, dist: nd})
+			}
+		}
+	}
+	if math.IsInf(dist[dst], 1) {
+		return nil, 0, false
+	}
+	for v := dst; v != src; v = prev[v] {
+		path = append(path, Link{From: prev[v], To: v})
+	}
+	slices.Reverse(path)
+	return path, dist[dst], true
+}
+
+// pathLabel is a tentative distance of CheapestPath's search, and pathHeap
+// the container/heap of them ordered by distance.
+type pathLabel struct {
+	dc   DC
+	dist float64
+}
+
+type pathHeap []pathLabel
+
+func (p pathHeap) Len() int           { return len(p) }
+func (p pathHeap) Less(i, j int) bool { return p[i].dist < p[j].dist }
+func (p pathHeap) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
+func (p *pathHeap) Push(x any)        { *p = append(*p, x.(pathLabel)) }
+func (p *pathHeap) Pop() any {
+	old := *p
+	n := len(old)
+	label := old[n-1]
+	*p = old[:n-1]
+	return label
 }
 
 // NumLinks reports the number of existing directed links.

@@ -441,12 +441,11 @@ func (r *FigureResult) SolverTable() string {
 
 // pathTable renders the Dantzig–Wolfe path-pricing counters for every
 // scheduler that ran the path master (Solver.PathSolves > 0), one row per
-// scheduler: path solves, arc-model fallbacks (slots where positive
-// artificials sent the verdict back to the arc formulation), the lazy
-// cap/charge rows the pricing rounds materialized, and the columns the warm
-// solver recycled from earlier slots' optimal bases. It returns the empty
-// string when no scheduler used path pricing, so arc-mode runs render
-// exactly as before.
+// scheduler: path solves, solves settled by the volume master (slots where
+// positive artificials left the verdict to it), the lazy cap/charge rows the
+// pricing rounds materialized, and the columns the warm solver recycled from
+// earlier slots' optimal bases. It returns the empty string when no
+// scheduler used path pricing, so arc-mode runs render exactly as before.
 func (r *FigureResult) pathTable(anyPath bool) string {
 	if !anyPath {
 		return ""

@@ -252,7 +252,8 @@ const (
 	// PricingPath is the Dantzig–Wolfe path decomposition: whole
 	// source→deadline path columns priced by per-file shortest-path oracles,
 	// built for 100+ datacenter overlays. Exact (certified against the arc
-	// model); falls back to an arc solve on infeasible instances.
+	// model); a volume-maximizing master of the same paths gives the
+	// Infeasible verdict.
 	PricingPath = core.PricingPath
 )
 

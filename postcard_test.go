@@ -161,11 +161,12 @@ func TestBenchScaleFigureShape(t *testing.T) {
 
 // TestCIScaleFigureCosts pins the CI-scale costs of Figs. 4 and 6 (the
 // numbers `postcard-figs -fig N -q` prints) for the four Postcard pipelines
-// and the flow-based baseline, to 1e-9 relative, together with the files
-// each scheduler dropped. A change that moves any of them changes the
-// published results and must update EXPERIMENTS.md together with this
-// table. Figs. 5 and 7 are left to CI's fig5-smoke job: their delay-tolerant
-// runs take tens of seconds.
+// and the flow-based baseline, and of Fig. 7 for postcard-path, to 1e-9
+// relative, together with the files each scheduler dropped. A change that
+// moves any of them changes the published results and must update
+// EXPERIMENTS.md together with this table. The other delay-tolerant runs
+// (Fig. 5, and Fig. 7's arc pipelines) take tens of seconds and are left to
+// CI's fig5-smoke job.
 func TestCIScaleFigureCosts(t *testing.T) {
 	checkFigureCosts(t, 4, map[string]figurePin{
 		"postcard":      {2681.8645141596094, 0},
@@ -180,6 +181,9 @@ func TestCIScaleFigureCosts(t *testing.T) {
 		"postcard-path": {2775.766896737802, 0},
 		"postcard-fast": {2085.5571454488504, 29},
 		"flow-based":    {2634.263812167954, 0},
+	})
+	checkFigureCosts(t, 7, map[string]figurePin{
+		"postcard-path": {1145.740346821966, 0},
 	})
 }
 

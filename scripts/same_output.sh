@@ -21,11 +21,14 @@
 # names come from the working tree's `postcard-solve -scheduler help`.
 #
 # Moved-output mode: names after <rev> are allowed to move. A scheduler
-# name prints, for every figure, its run cost and drops old -> new with the
-# relative change, and its figure rows and CSV columns and its
-# postcard-solve outputs leave the comparison; an `example-<dir>` name
-# prints that example's diff and leaves it out too. Any other difference
-# still prints a unified diff and exits 1.
+# name prints, for every figure and the 64-DC run, its run cost and drops
+# old -> new with the relative change, and its figure rows (the 64-DC
+# run's included), CSV columns and postcard-solve outputs leave the
+# comparison. The name of the 24-DC postcard-sim run's scheduler
+# (postcard-path) also prints that run's final cost and drops old -> new
+# and leaves it out. An `example-<dir>` name prints that example's diff
+# and leaves it out too. Any other difference still prints a unified diff
+# and exits 1.
 #
 # Usage:  scripts/same_output.sh <rev> [name...]
 #         (e.g. scripts/same_output.sh HEAD, or
@@ -61,6 +64,7 @@ build "$PWD" work
 schedulers=$("$tmp/work/bin/postcard-solve" -scheduler help | awk 'NR > 1 { print $1 }')
 all=$(echo "$schedulers" | paste -sd, -)
 relay="$PWD/cmd/postcard-solve/testdata/relay.json"
+sim_scheduler=postcard-path
 
 # run <side> <name> <command...>: record output and exit status.
 run() {
@@ -80,7 +84,7 @@ for side in base work; do
   done
   run "$side" figs-dc64 "$bin/postcard-figs" -fig 4 -dcs 64 -runs 1 -slots 6 -q \
     -schedulers postcard,postcard-warm,postcard-path
-  run "$side" sim-dc24 "$bin/postcard-sim" -dcs 24 -maxt 3 -slots 16 -scheduler postcard-path
+  run "$side" sim-dc24 "$bin/postcard-sim" -dcs 24 -maxt 3 -slots 16 -scheduler "$sim_scheduler"
   for s in $schedulers; do
     run "$side" "solve-builtin-$s" "$bin/postcard-solve" -scheduler "$s"
     run "$side" "solve-builtin-$s.json" "$bin/postcard-solve" -scheduler "$s" -json
@@ -108,7 +112,7 @@ for name in ${moved[@]+"${moved[@]}"}; do
     continue
     ;;
   esac
-  for n in 4 5 6 7; do
+  for n in 4 5 6 7 dc64; do
     awk -v name="$name" -v fig="$n" '
       FNR == 1 { side++ }
       FNR > 2 && NF == 0 { nextfile }
@@ -119,6 +123,17 @@ for name in ${moved[@]+"${moved[@]}"}; do
         printf "fig %s  %-16s cost %s -> %s (%s)  dropped %s -> %s\n", fig, name, cost[1], cost[2], rel, drop[1], drop[2]
       }' "$tmp/base/out/figs-$n" "$tmp/work/out/figs-$n" >&2
   done
+  if [ "$name" = "$sim_scheduler" ]; then
+    awk -v name="$name" '
+      FNR == 1 { side++ }
+      $1 == "final" && $2 == "cost/slot:" { cost[side] = $3 }
+      $1 == "files" && $2 == "dropped:" { drop[side] = $3 }
+      END {
+        rel = cost[1] != 0 ? sprintf("%+.3f%%", 100 * (cost[2] - cost[1]) / cost[1]) : "n/a"
+        printf "sim-dc24 %-16s cost %s -> %s (%s)  dropped %s -> %s\n", name, cost[1], cost[2], rel, drop[1], drop[2]
+      }' "$tmp/base/out/sim-dc24" "$tmp/work/out/sim-dc24" >&2
+    rm -f "$tmp/base/out/sim-dc24" "$tmp/work/out/sim-dc24"
+  fi
   for side in base work; do
     find "$tmp/$side/out" -maxdepth 1 -name "figs-*" -exec sed -i -E "/^$name[[:space:]]/d" {} +
     for csv in "$tmp/$side/out"/csv-fig*/*.csv; do
