@@ -16,11 +16,20 @@ import (
 // this bound and every rejection is exhaustive.
 const maxExpansions = 4096
 
-// Config tunes the admission tier.
-type Config struct {
-	// Solver configures the background re-optimizer's core.Solver; nil
-	// selects the optimizer defaults.
-	Solver *core.Config
+// Config tunes the admission tier. It has no settings: the search budget is
+// the constant maxExpansions, and the background re-optimizer is always the
+// warm path master (see newSolver), because its formulation decides the
+// plans a daemon commits and is not a knob. The type stays so NewController
+// and RestoreController keep their signatures for callers that pass nil.
+type Config struct{}
+
+// newSolver returns the background re-optimizer: an incremental core.Solver
+// on the Dantzig–Wolfe path master, the formulation whose objective the
+// exactness gates hold equal to the arc model's on every slot. Every caller
+// — the daemon's republisher and closing solve, the simulation adapter and
+// the facade's controller — solves through this one solver.
+func newSolver() *core.Solver {
+	return core.NewSolver(&core.Config{Pricing: core.PricingPath})
 }
 
 // Stats counts the admission tier's cumulative work. It is declared in core
@@ -52,7 +61,6 @@ type Decision struct {
 // conditions stated there — which is how a daemon keeps answering Admit
 // while the LP runs.
 type Controller struct {
-	cfg    Config
 	res    *netmodel.Reservations
 	q100   bool
 	solver *core.Solver
@@ -73,20 +81,17 @@ type Controller struct {
 	solverStats core.SolveStats
 }
 
-// NewController creates an admission controller over the ledger.
-func NewController(ledger *netmodel.Ledger, cfg *Config) (*Controller, error) {
+// NewController creates an admission controller over the ledger. Config
+// has no settings; cfg may be nil.
+func NewController(ledger *netmodel.Ledger, _ *Config) (*Controller, error) {
 	if ledger == nil {
 		return nil, fmt.Errorf("admission: nil ledger")
 	}
-	c := &Controller{
+	return &Controller{
 		res:  netmodel.NewReservations(ledger),
 		q100: ledger.Scheme().Q >= 100,
 		slot: -1,
-	}
-	if cfg != nil {
-		c.cfg = *cfg
-	}
-	return c, nil
+	}, nil
 }
 
 // Reservations exposes the live reservation view (for inspection; callers
@@ -196,7 +201,7 @@ func (c *Controller) BeginRepublish(now int) (*RepublishJob, error) {
 		return nil, fmt.Errorf("admission: republish at slot %d for batch of slot %d", now, c.slot)
 	}
 	if c.solver == nil {
-		c.solver = core.NewSolver(c.cfg.Solver)
+		c.solver = newSolver()
 	}
 	return &RepublishJob{
 		c:      c,
@@ -207,6 +212,11 @@ func (c *Controller) BeginRepublish(now int) (*RepublishJob, error) {
 		gen:    c.gen,
 	}, nil
 }
+
+// Err returns the error the job's Solve ended with, nil before Solve or
+// when the LP ran. FinishRepublish does not return it (see there); callers
+// that keep a log read it here.
+func (j *RepublishJob) Err() error { return j.err }
 
 // Solve runs the job's LP through the controller's warm solver. It prices
 // against the ledger — which never contains reservations — so the whole
@@ -222,12 +232,16 @@ func (j *RepublishJob) Solve() {
 // provisional plans, the batch's reservations and schedule are atomically
 // swapped to the LP's, and swapped reports true. The batch's provisional
 // plans prove the LP feasible, so a non-optimal status is defensive: the
-// fast plan is kept and no error is returned.
+// fast plan is kept and no error is returned. A failed solve (Err) is
+// settled the same way and counted in Stats.FailedSolves: the reserved fast
+// plan is a valid schedule for the batch, and returning the error would
+// leave the batch unsettled, so a caller that must settle it before
+// committing the slot would fail on every retry of the same solve.
 //
 // A stale job never swaps: when the batch changed since BeginRepublish (an
 // admission, TakePlan, Rollback or Invalidate), or the job was begun by
 // another controller, its answer — a solve error included — is dropped.
-// Otherwise the batch is settled afterwards, unless the solve failed.
+// Otherwise the batch is settled afterwards.
 //
 // The swap is failure-atomic: the reservation state is restored to the
 // pre-swap buckets whenever any step fails, so c.plan and the live
@@ -252,7 +266,9 @@ func (c *Controller) FinishRepublish(job *RepublishJob) (swapped bool, err error
 		return false, nil
 	}
 	if job.err != nil {
-		return false, fmt.Errorf("admission: republish solve: %w", job.err)
+		c.stats.FailedSolves++
+		c.settled = true
+		return false, nil
 	}
 	res := job.res
 	if res.Status != lp.Optimal {

@@ -182,6 +182,50 @@ func TestSettled(t *testing.T) {
 	}
 }
 
+// TestFailedSolveKeepsFastPlan checks that a republish whose LP solve
+// fails settles the batch on the reserved fast-tier plan: the finish
+// returns no error, plan and reservations stay as they were, the failure is
+// counted, and the batch commits. Returning the error instead left the
+// batch unsettled, so a slot commit that must settle it first failed on
+// every retry.
+func TestFailedSolveKeepsFastPlan(t *testing.T) {
+	ctrl := jobFixture(t)
+	plan, table := ctrl.BatchPlan(), reservationTable(t, ctrl.Reservations())
+	job, err := ctrl.BeginRepublish(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A duplicate file ID makes the solver reject the batch.
+	job.files[1].ID = job.files[0].ID
+	job.Solve()
+	if job.Err() == nil {
+		t.Fatal("solving a batch with a duplicate file ID succeeded")
+	}
+	swapped, err := ctrl.FinishRepublish(job)
+	if swapped || err != nil {
+		t.Fatalf("failed solve: swapped=%v err=%v, want the fast plan kept", swapped, err)
+	}
+	if !ctrl.Settled() {
+		t.Error("a failed solve left the batch unsettled")
+	}
+	if !reflect.DeepEqual(plan, ctrl.BatchPlan()) {
+		t.Error("a failed solve changed the batch plan")
+	}
+	if !reflect.DeepEqual(table, reservationTable(t, ctrl.Reservations())) {
+		t.Error("a failed solve changed the reservations")
+	}
+	if st := ctrl.Stats(); st.FailedSolves != 1 || st.Republishes != 0 {
+		t.Errorf("failed solves = %d, republishes = %d, want 1 and 0", st.FailedSolves, st.Republishes)
+	}
+	taken, _, err := ctrl.TakePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plan, taken.Actions()) {
+		t.Error("the taken plan is not the fast-tier plan")
+	}
+}
+
 // TestJobMisuse covers the protocol's error paths: no batch, wrong slot, a
 // job finished before it was solved.
 func TestJobMisuse(t *testing.T) {

@@ -54,12 +54,15 @@ func (c *Controller) Snapshot() *ControllerSnapshot {
 // describe the same network and committed state the snapshot was captured
 // under; the reservation buckets, open batch, counters, and solver
 // warm-start state are restored so the next Republish/TakePlan behaves
-// exactly as the snapshotted controller's would have.
-func RestoreController(ledger *netmodel.Ledger, cfg *Config, snap *ControllerSnapshot) (*Controller, error) {
+// exactly as the snapshotted controller's would have. Solver state written
+// by an older build, whose re-optimizer ran the arc model, does not fit the
+// path master and is dropped (core.Solver.Restore): the first solve after
+// such a restore runs cold. Config has no settings; cfg may be nil.
+func RestoreController(ledger *netmodel.Ledger, _ *Config, snap *ControllerSnapshot) (*Controller, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("admission: nil controller snapshot")
 	}
-	c, err := NewController(ledger, cfg)
+	c, err := NewController(ledger, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +83,7 @@ func RestoreController(ledger *netmodel.Ledger, cfg *Config, snap *ControllerSna
 		}
 	}
 	if snap.Solver != nil {
-		c.solver = core.NewSolver(c.cfg.Solver)
+		c.solver = newSolver()
 		c.solver.Restore(ledger.Network(), snap.Solver)
 		c.solverStats = c.solver.Stats()
 	}

@@ -23,12 +23,14 @@ type SnapshotKey struct {
 // last solve's basis with the structural keys of its columns and rows, its
 // retained paths and the IDs of its files, the state its slot opened with
 // when that differs, plus the cumulative work counters. Restoring it into a
-// fresh Solver bound to an equivalent network makes the next Solve map the
-// basis and seed the path master exactly as an uninterrupted solver would,
-// so a process restart resumes the remaining horizon with bit-identical
-// plans under either pricing mode (the recycled time-expanded graph and
-// builder are rebuilt on demand and never affect results — only the
-// GraphReuses counter can differ).
+// fresh Solver of the same pricing mode, bound to an equivalent network,
+// makes the next Solve map the basis and seed the path master exactly as an
+// uninterrupted solver would, so a process restart resumes the remaining
+// horizon with bit-identical plans under either pricing mode (the recycled
+// time-expanded graph and builder are rebuilt on demand and never affect
+// results — only the GraphReuses counter can differ). A Solver of the other
+// pricing mode drops the LP state and keeps the counters: its first solve
+// after Restore runs cold (see Restore).
 type SolverSnapshot struct {
 	// Valid reports whether the snapshot carries warm-start state; a
 	// solver that has not solved anything yet snapshots Valid == false
@@ -86,16 +88,23 @@ func (s *Solver) Snapshot() *SolverSnapshot {
 // to nw — the network the subsequent Solve calls will run against (the
 // cache keys carry absolute slots, so nw must describe the same topology
 // and pricing the snapshot was captured under for the resumed plans to
-// match). A snapshot without valid state, or one whose shapes do not line
-// up, restores only the counters and leaves the solver cold.
+// match). A snapshot without valid state, one whose shapes do not line up,
+// or one written under the other pricing mode restores only the counters
+// and leaves the solver cold, so its first solve is the stateless Solve.
+// The last case is how a snapshot of an admission daemon whose
+// re-optimizer still ran the arc model resumes on the path master: the arc
+// basis's shared keys (charged-volume columns, capacity and charge rows)
+// would map into the path master a start no uninterrupted path solver
+// ever had.
 func (s *Solver) Restore(nw *netmodel.Network, snap *SolverSnapshot) {
 	s.Reset()
 	if snap == nil {
 		return
 	}
 	s.stats = snap.Stats
-	if !snap.Valid || nw == nil || !snap.BasisSnapshot.fits() ||
-		(snap.Start != nil && snap.Start.Basis != nil && !snap.Start.fits()) {
+	arc := s.conf.Pricing == PricingArc
+	if !snap.Valid || nw == nil || !snap.BasisSnapshot.fits(arc) ||
+		(snap.Start != nil && snap.Start.Basis != nil && !snap.Start.fits(arc)) {
 		return
 	}
 	s.nw = nw
@@ -119,10 +128,13 @@ func (st *solveState) snapshot() BasisSnapshot {
 		Paths: pathsToSnapshot(st.paths)}
 }
 
-// fits reports whether the basis is present and its shape matches its keys.
-func (b *BasisSnapshot) fits() bool {
+// fits reports whether the basis is present, its shape matches its keys,
+// and the keys were minted by the formulation a solver with arc (pricing
+// mode PricingArc) builds: only the arc model has conservation rows.
+func (b *BasisSnapshot) fits(arc bool) bool {
 	return b.Basis != nil && b.Basis.NumVars == len(b.Cols) && b.Basis.NumRows == len(b.Rows) &&
-		len(b.Basis.Status) == b.Basis.NumVars+b.Basis.NumRows
+		len(b.Basis.Status) == b.Basis.NumVars+b.Basis.NumRows &&
+		slices.ContainsFunc(b.Rows, func(k SnapshotKey) bool { return k.Kind == kindCons }) == arc
 }
 
 // state returns the solver-side copy of b (empty when b has no basis).

@@ -130,9 +130,10 @@ func resumeBitIdentical(t *testing.T, cfg *Config, nw *netmodel.Network, seed in
 }
 
 // TestSolverSnapshotColdAndInvalid pins the degraded paths: a cold solver
-// snapshots only its counters, and a snapshot with inconsistent shapes
-// restores the counters but leaves the solver cold instead of feeding the
-// simplex a corrupt basis.
+// snapshots only its counters, and a snapshot with inconsistent shapes, or
+// written under the other pricing mode, restores the counters but leaves
+// the solver cold instead of feeding the simplex a corrupt or foreign
+// basis.
 func TestSolverSnapshotColdAndInvalid(t *testing.T) {
 	s := NewSolver(nil)
 	snap := s.Snapshot()
@@ -171,5 +172,33 @@ func TestSolverSnapshotColdAndInvalid(t *testing.T) {
 	}
 	if s3.Stats() != bad.Stats {
 		t.Error("counters not restored from degraded snapshot")
+	}
+
+	// Another formulation's state: an arc snapshot restored into a path
+	// solver, and a path snapshot into an arc solver, keep the counters
+	// and leave the solver cold.
+	pathCfg := &Config{Pricing: PricingPath}
+	warmPath := NewSolver(pathCfg)
+	if _, err := warmPath.Solve(ledger, []netmodel.File{{ID: 1, Src: 0, Dst: 1, Size: 5, Deadline: 2}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		snap *SolverSnapshot
+		cfg  *Config
+	}{
+		"arc into path": {warm.Snapshot(), pathCfg},
+		"path into arc": {warmPath.Snapshot(), nil},
+	} {
+		if !c.snap.Valid {
+			t.Fatalf("%s: solved solver snapshot not valid", name)
+		}
+		s4 := NewSolver(c.cfg)
+		s4.Restore(nw, c.snap)
+		if s4.valid {
+			t.Errorf("%s: another formulation's basis accepted as warm state", name)
+		}
+		if s4.Stats() != c.snap.Stats {
+			t.Errorf("%s: counters not restored", name)
+		}
 	}
 }

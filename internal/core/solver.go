@@ -45,14 +45,17 @@ type SolveStats struct {
 // re-optimizer improved. FastCost totals the provisional cost-per-slot
 // increase of batches actually taken (republished batches contribute their
 // improved LP delta); RepublishDelta totals the cost per slot the
-// re-optimizer shaved off the fast tier's provisional plans. The metric tags
-// name the daemon's postcard_admission_* series.
+// re-optimizer shaved off the fast tier's provisional plans. FailedSolves
+// counts re-optimizer solves that ended in an error, each settling its batch
+// on the fast tier's plan. The metric tags name the daemon's
+// postcard_admission_* series.
 type AdmissionStats struct {
 	Admits         int     `metric:"admits_total,Fast-path admissions."`
 	Rejects        int     `metric:"rejects_total,Fast-path rejections."`
 	Republishes    int     `metric:"republishes_total,Batches improved by the LP republisher."`
 	FastCost       float64 `metric:"fast_cost_total,Provisional cost per slot committed by taken batches."`
 	RepublishDelta float64 `metric:"republish_delta_total,Cost per slot shaved off provisional plans by republishing."`
+	FailedSolves   int     `metric:"failed_solves_total,Republish solves that failed; their batches kept the fast-tier plan."`
 }
 
 // Solver is the incremental counterpart of Solve for online slot-by-slot

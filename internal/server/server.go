@@ -340,6 +340,9 @@ func (s *Server) solveLocked(keepMu bool) error {
 
 // finishSolveLocked applies a solved job under mu.
 func (s *Server) finishSolveLocked(job *admission.RepublishJob) error {
+	if err := job.Err(); err != nil {
+		s.logf("republish solve at slot %d: %v", s.slot, err)
+	}
 	swapped, err := s.ctrl.FinishRepublish(job)
 	if swapped {
 		s.refreshProvisionalLocked()

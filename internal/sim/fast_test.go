@@ -13,9 +13,10 @@ import (
 	"github.com/interdc/postcard/internal/stats"
 )
 
-// fastFigure runs one CI-scale figure with the warm LP reference and both
-// fast-tier variants (pure fast path, and fast path with background
-// republish) on identical traces.
+// fastFigure runs one CI-scale figure with the LP reference — the warm
+// path master, the formulation the republisher solves — and both fast-tier
+// variants (pure fast path, and fast path with background republish) on
+// identical traces.
 func fastFigure(t *testing.T, figure, workers int) *FigureResult {
 	t.Helper()
 	setting, err := netmodel.SettingByFigure(figure)
@@ -25,9 +26,12 @@ func fastFigure(t *testing.T, figure, workers int) *FigureResult {
 	scale := CIScale()
 	scale.Workers = workers
 	res, err := RunFigure(FigureConfig{
-		Setting:    setting,
-		Scale:      scale,
-		Schedulers: []Scheduler{&Postcard{WarmStart: true}, &Fast{NoRepublish: true}, &Fast{}},
+		Setting: setting,
+		Scale:   scale,
+		Schedulers: []Scheduler{
+			&Postcard{Label: "postcard-path", WarmStart: true, Config: &core.Config{Pricing: core.PricingPath}},
+			&Fast{NoRepublish: true}, &Fast{},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +78,8 @@ func TestFastParallelMatchesSequential(t *testing.T) {
 // TestFastMatchesWarmAmple checks the republish contract where it is
 // exactly testable: on the ample-capacity regime (fig 4) nothing is shed,
 // so the republished fast tier commits the same LP-optimal plans as the
-// warm LP scheduler and their final costs coincide.
+// warm path-master scheduler (postcard-path) and their final costs
+// coincide.
 func TestFastMatchesWarmAmple(t *testing.T) {
 	res := fastFigure(t, 4, 4)
 	warm, fast := res.Schedulers[0], res.Schedulers[2]
@@ -83,7 +88,7 @@ func TestFastMatchesWarmAmple(t *testing.T) {
 	}
 	tol := 1e-6 * (1 + math.Abs(warm.Final.Mean))
 	if math.Abs(fast.Final.Mean-warm.Final.Mean) > tol {
-		t.Errorf("republished fast tier cost %v, warm LP %v", fast.Final.Mean, warm.Final.Mean)
+		t.Errorf("republished fast tier cost %v, warm path LP %v", fast.Final.Mean, warm.Final.Mean)
 	}
 	if fast.Solver.RepublishDelta <= 0 {
 		t.Errorf("republish saved nothing: %+v", fast.Solver)
@@ -91,12 +96,12 @@ func TestFastMatchesWarmAmple(t *testing.T) {
 }
 
 // gapTable renders the fast-tier optimality-gap table TestFastTierGapCIScale
-// pins: per figure regime, the warm LP reference cost, both fast-tier
+// pins: per figure regime, the warm path LP reference cost, both fast-tier
 // variants' costs, their relative gaps, and the files each dropped (drops
 // make raw costs incomparable, so they are part of the pinned surface).
 func gapTable(results map[int]*FigureResult, figures []int) string {
 	var b strings.Builder
-	b.WriteString("fast-tier optimality gap vs warm LP (ci scale)\n")
+	b.WriteString("fast-tier optimality gap vs warm path LP (ci scale)\n")
 	fmt.Fprintf(&b, "%-4s %-28s %12s %12s %8s %6s %12s %8s %6s\n",
 		"fig", "regime", "lp-cost", "fast-only", "gap%", "drops", "fast+repub", "gap%", "drops")
 	for _, fig := range figures {

@@ -148,8 +148,9 @@ type (
 
 // Admission fast-tier types.
 type (
-	// AdmissionConfig parameterizes the admission controller (search
-	// budget and background-solver settings).
+	// AdmissionConfig is the admission controller's configuration. It
+	// has no settings: the search budget is fixed and the background
+	// re-optimizer is always the warm path master. Pass nil.
 	AdmissionConfig = admission.Config
 	// AdmissionController is the allocate-on-arrival tier: admit/reject
 	// decisions with provisional single-path schedules, plus the republish
@@ -358,7 +359,7 @@ func NewPoissonWorkload(cfg PoissonWorkloadConfig) (*PoissonWorkload, error) {
 }
 
 // NewAdmissionController creates an allocate-on-arrival admission tier
-// over the ledger. A nil config uses defaults.
+// over the ledger. AdmissionConfig has no settings; cfg may be nil.
 func NewAdmissionController(ledger *Ledger, cfg *AdmissionConfig) (*AdmissionController, error) {
 	return admission.NewController(ledger, cfg)
 }
@@ -377,7 +378,8 @@ func LedgerFromSnapshot(nw *Network, snap *LedgerSnapshot) (*Ledger, error) {
 // RestoreAdmissionController rebuilds an admission controller over the
 // ledger from a snapshot taken with AdmissionController.Snapshot: the open
 // batch, its reservations, and the background solver's warm basis resume
-// exactly where the snapshot left off.
+// exactly where the snapshot left off. A snapshot whose solver state was
+// written by the arc model (an older build) restores that state cold.
 func RestoreAdmissionController(ledger *Ledger, cfg *AdmissionConfig, snap *AdmissionSnapshot) (*AdmissionController, error) {
 	return admission.RestoreController(ledger, cfg, snap)
 }

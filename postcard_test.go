@@ -172,14 +172,14 @@ func TestCIScaleFigureCosts(t *testing.T) {
 		"postcard":      {2681.8645141596094, 0},
 		"postcard-warm": {2681.86451415961, 0},
 		"postcard-path": {2694.7753064433973, 0},
-		"postcard-fast": {2681.86451415961, 0},
+		"postcard-fast": {2694.7753064433973, 0},
 		"flow-based":    {2480.5715126183686, 0},
 	})
 	checkFigureCosts(t, 6, map[string]figurePin{
 		"postcard":      {2778.419177285214, 0},
 		"postcard-warm": {2778.7836099984197, 0},
 		"postcard-path": {2775.766896737802, 0},
-		"postcard-fast": {2085.5571454488504, 29},
+		"postcard-fast": {2085.006595230144, 29},
 		"flow-based":    {2634.263812167954, 0},
 	})
 	checkFigureCosts(t, 7, map[string]figurePin{
